@@ -291,6 +291,96 @@ mod tests {
     }
 
     #[test]
+    fn irls_stop_is_invariant_to_frame_and_reference() {
+        // One noisy circular scan, solved in its own frame with sample 0 as
+        // the reference, then in a rotated + translated frame measured in
+        // decimetres with a mid-scan reference. The two radical-line
+        // systems are affine reparametrizations of each other (the same
+        // fitted values and residuals, up to the unit), so both IRLS loops
+        // must stop at the same iteration and agree on the antenna's world
+        // position. A step test in σ units that is not a Mahalanobis
+        // form, such as `‖Δx‖∞ < c·s`, stops a step apart here.
+        use lion_linalg::{lstsq, solve_irls_normal, IrlsConfig, NormalEq, NormalIrlsScratch};
+        let antenna = Point3::new(0.35, 0.9, 0.0);
+        let n = 120;
+        let tags: Vec<Point3> = (0..n)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::TAU / n as f64;
+                Point3::new(0.3 * a.cos(), 0.3 * a.sin(), 0.0)
+            })
+            .collect();
+        // Millimetre-scale deterministic noise plus a few multipath-like
+        // outliers, on each sample's measured distance.
+        let measured: Vec<f64> = tags
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let noise = 0.002 * ((i as f64 * 12.9898).sin() * 43758.5453).fract();
+                let outlier = if i % 17 == 0 { 0.02 } else { 0.0 };
+                antenna.distance(*t) + noise + outlier
+            })
+            .collect();
+        let pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + n / 4) % n)).collect();
+        let (sin, cos) = 0.7_f64.sin_cos();
+        let shift = (2.5, -1.25);
+        // The moved frame also measures lengths in decimetres.
+        const UNIT: f64 = 10.0;
+        let config = IrlsConfig::default();
+        // Solves in the frame `to_frame` maps world points into; returns
+        // each loop's iteration count and the solved position mapped back
+        // to the world by `to_world`.
+        let run = |to_frame: &dyn Fn(Point3) -> (f64, f64),
+                   to_world: &dyn Fn(f64, f64) -> (f64, f64),
+                   unit: f64,
+                   reference: usize| {
+            let coords: Vec<f64> = tags
+                .iter()
+                .flat_map(|t| {
+                    let (x, y) = to_frame(*t);
+                    [x, y]
+                })
+                .collect();
+            let deltas: Vec<f64> = measured
+                .iter()
+                .map(|d| (d - measured[reference]) * unit)
+                .collect();
+            let (a, k) = build_system(&coords, 2, &deltas, &pairs).unwrap();
+            let mut ne = NormalEq::new();
+            ne.set_system(3, a.as_slice(), k.as_slice());
+            let normal =
+                solve_irls_normal(&mut ne, &config, &mut NormalIrlsScratch::new()).unwrap();
+            let qr = lstsq::solve_irls(&a, &k, &config).unwrap();
+            assert!(normal.converged && qr.converged);
+            assert!(normal.iterations < config.max_iterations);
+            let x = ne.solution();
+            (
+                (normal.iterations, to_world(x[0], x[1])),
+                (qr.iterations, to_world(qr.solution[0], qr.solution[1])),
+            )
+        };
+        let own = run(&|p| (p.x, p.y), &|x, y| (x, y), 1.0, 0);
+        let moved = run(
+            &|p| {
+                let (x, y) = (cos * p.x - sin * p.y, sin * p.x + cos * p.y);
+                (UNIT * x + shift.0, UNIT * y + shift.1)
+            },
+            &|x, y| {
+                let (dx, dy) = ((x - shift.0) / UNIT, (y - shift.1) / UNIT);
+                (cos * dx + sin * dy, -sin * dx + cos * dy)
+            },
+            UNIT,
+            n / 2 + 7,
+        );
+        for ((it_a, pa), (it_b, pb)) in [(own.0, moved.0), (own.1, moved.1)] {
+            assert_eq!(it_a, it_b);
+            assert!(
+                (pa.0 - pb.0).abs() < 1e-9 && (pa.1 - pb.1).abs() < 1e-9,
+                "{pa:?} vs {pb:?}"
+            );
+        }
+    }
+
+    #[test]
     fn validation_errors() {
         assert!(matches!(
             build_system(&[], 0, &[], &[(0, 1)]),

@@ -412,11 +412,10 @@ impl IncrementalState {
         std::mem::swap(&mut self.pairs_abs, &mut self.pairs_next);
         self.rows_delta += touched;
         // Solve and assemble exactly like the adaptive sweep's cells.
-        // Deliberately cold-started ([`solve_irls_normal`], not the
-        // warm-start variant): when IRLS hits its iteration cap without
-        // converging, the stopping point is trajectory-dependent, and
-        // only the cold start tracks the replay oracle's trajectory
-        // closely enough for the documented 1e-6 delta-tick parity.
+        // IRLS cold-starts from uniform weights, like the replay oracle:
+        // it then follows the oracle's trajectory, and the frame-invariant
+        // stopping rule ends both at the same iteration, which is what
+        // the documented 1e-6 delta-tick parity rests on.
         let irls = resolve_irls(&config.weighting);
         let outcome = solve_irls_normal(&mut self.ne, &irls, &mut self.irls).ok()?;
         let m = self.ne.rows();

@@ -173,6 +173,7 @@ impl Engine {
             results,
             job_metrics,
             timings,
+            trace_ids: contexts.iter().map(|c| c.map(|c| c.trace_id)).collect(),
             report,
         }
     }
@@ -321,6 +322,11 @@ pub struct BatchOutcome {
     pub job_metrics: Vec<StageMetrics>,
     /// Per-job queue-wait/execute timings, in submission order.
     pub timings: Vec<JobTiming>,
+    /// Per-job root trace ids, in submission order: every span a job
+    /// emitted carries its id, which is how a caller picks this batch's
+    /// spans out of a subscriber shared with other work. `None` when no
+    /// subscriber or flight recorder was installed at submission.
+    pub trace_ids: Vec<Option<u64>>,
     /// Batch-level aggregation of the per-job metrics.
     pub report: MetricsReport,
 }

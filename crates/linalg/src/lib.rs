@@ -69,9 +69,7 @@ pub use lm::{LevenbergMarquardt, LmOutcome, LmReport};
 pub use lstsq::{IrlsConfig, IrlsReport, LstsqScratch, WeightFunction};
 pub use lu::{solve_square, Lu};
 pub use matrix::Matrix;
-pub use normal::{
-    solve_irls_normal, solve_irls_normal_warm, NormalEq, NormalIrlsOutcome, NormalIrlsScratch,
-};
+pub use normal::{solve_irls_normal, NormalEq, NormalIrlsOutcome, NormalIrlsScratch};
 pub use qr::Qr;
 pub use svd::Svd;
 pub use vector::Vector;

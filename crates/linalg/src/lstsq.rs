@@ -76,15 +76,8 @@ impl WeightFunction {
                 }
             })),
             WeightFunction::GaussianResidual => {
-                // σ² = E[r²] − μ² from the fused sums, with a
-                // non-negativity guard against cancellation.
                 let n = residuals.len();
-                let mu = if n == 0 { 0.0 } else { sum / n as f64 };
-                let sigma2 = if n == 0 {
-                    0.0
-                } else {
-                    (sumsq / n as f64 - mu * mu).max(0.0)
-                };
+                let (mu, sigma2) = residual_moments(n, sum, sumsq);
                 if sigma2 < MIN_SIGMA * MIN_SIGMA {
                     // Residuals are (numerically) identical: equations are
                     // equally reliable, weight them uniformly.
@@ -114,16 +107,63 @@ impl WeightFunction {
 /// Residual spread below which the Gaussian weight collapses to uniform.
 const MIN_SIGMA: f64 = 1e-12;
 
+/// Absolute `‖Δx‖∞` below which an IRLS step counts as converged whatever
+/// the residual spread. It only decides on noise-free systems, where the
+/// residual variance `s²` is zero and the σ-scaled test can never pass.
+const STEP_FLOOR: f64 = 1e-8;
+
+/// `(μ, s²)` of `n` residuals from their left-to-right `Σr` and `Σr²`:
+/// `s² = E[r²] − μ²`, clamped at zero against cancellation.
+fn residual_moments(n: usize, sum: f64, sumsq: f64) -> (f64, f64) {
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let mu = sum / n as f64;
+    (mu, (sumsq / n as f64 - mu * mu).max(0.0))
+}
+
 /// Configuration for [`solve_irls`].
+///
+/// # Stopping rule
+///
+/// The paper iterates "until the difference between the last estimation
+/// and the current estimation is less than the given threshold" (Eqs.
+/// 14–16) without giving the threshold. Both IRLS loops
+/// ([`solve_irls_with`] and [`crate::solve_irls_normal`]) measure the step
+/// `Δx = xₖ − xₖ₋₁` in the estimate's own uncertainty and stop when
+///
+/// ```text
+/// Δxᵀ·(AᵀWA)·Δx  <  step_sigmas² · s²
+/// ```
+///
+/// where `AᵀWA` is the weighted Gram matrix of the solve that produced
+/// `xₖ` and `s²` is the variance of the residuals at `xₖ` (the same
+/// `(Σr, Σr²)` moments the Gaussian weight uses). Since `s²·(AᵀWA)⁻¹`
+/// is the covariance of `xₖ`, the left side over `s²` is the squared
+/// Mahalanobis length of the step: the loop stops once a reweight moves
+/// the estimate by less than `step_sigmas` standard errors, i.e. when
+/// further iterations cannot move it by anything the data can resolve.
+///
+/// The quadratic form equals `Σ wᵢ(aᵢ·Δx)²`, a function of the change in
+/// the fitted values only. Any invertible affine reparametrization of the
+/// unknowns — rotating or translating the coordinate frame, or moving the
+/// reference sample (which shifts `d_r`) — leaves the residuals, `s²`, and
+/// that sum unchanged, so the loop stops at the same iteration in every
+/// frame. A per-axis test (`|Δxⱼ| < c·σ̂ⱼ`) is not invariant under a
+/// rotation, which is why it is not used.
+///
+/// On a noise-free system `s² = 0` and the test above cannot pass; an
+/// absolute floor of `‖Δx‖∞ < 1e-8` then ends the loop. On noisy data the
+/// σ-scaled test stops the loop long before steps shrink that far.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrlsConfig {
     /// Maximum number of reweighting iterations (the first plain LS solve is
-    /// not counted). The paper iterates "until the difference between the
-    /// last estimation and the current estimation is less than the given
-    /// threshold".
+    /// not counted).
     pub max_iterations: usize,
-    /// Convergence threshold on `‖xₖ − xₖ₋₁‖∞`.
-    pub tolerance: f64,
+    /// Convergence threshold on the step, in standard errors of the
+    /// estimate: stop when `Δxᵀ(AᵀWA)Δx < step_sigmas²·s²` (see the
+    /// stopping rule above). Default 0.1.
+    pub step_sigmas: f64,
     /// Weighting scheme.
     pub weight_fn: WeightFunction,
 }
@@ -132,9 +172,27 @@ impl Default for IrlsConfig {
     fn default() -> Self {
         IrlsConfig {
             max_iterations: 20,
-            tolerance: 1e-8,
+            step_sigmas: 0.1,
             weight_fn: WeightFunction::GaussianResidual,
         }
+    }
+}
+
+impl IrlsConfig {
+    /// The stopping rule shared by both IRLS loops. `step_sq` is
+    /// `Δxᵀ(AᵀWA)Δx` under the weights of the solve that took the step,
+    /// `max_abs_step` is `‖Δx‖∞`, and `n`/`sum`/`sumsq` are the count,
+    /// `Σr`, and `Σr²` of the residuals at the new estimate.
+    pub(crate) fn step_converged(
+        &self,
+        step_sq: f64,
+        max_abs_step: f64,
+        n: usize,
+        sum: f64,
+        sumsq: f64,
+    ) -> bool {
+        let (_, s2) = residual_moments(n, sum, sumsq);
+        step_sq < self.step_sigmas * self.step_sigmas * s2 || max_abs_step < STEP_FLOOR
     }
 }
 
@@ -167,6 +225,7 @@ pub struct LstsqScratch {
     rhs: Vector,
     weights: Vec<f64>,
     residuals: Vec<f64>,
+    step: Vec<f64>,
 }
 
 impl LstsqScratch {
@@ -178,6 +237,7 @@ impl LstsqScratch {
             rhs: Vector::zeros(0),
             weights: Vec::new(),
             residuals: Vec::new(),
+            step: Vec::new(),
         }
     }
 }
@@ -348,8 +408,9 @@ pub fn residuals_into(
 ///
 /// 1. Solve plain LS for an initial `X*` (paper Eq. 13).
 /// 2. Compute residuals, derive weights (paper Eq. 15).
-/// 3. Solve WLS (paper Eq. 16); repeat from 2 until the estimate moves less
-///    than `config.tolerance` or `config.max_iterations` is reached.
+/// 3. Solve WLS (paper Eq. 16); repeat from 2 until the step falls below
+///    `config.step_sigmas` standard errors (see [`IrlsConfig`]) or
+///    `config.max_iterations` is reached.
 ///
 /// # Errors
 ///
@@ -396,6 +457,7 @@ pub fn solve_irls_with(
         rhs,
         weights,
         residuals: res,
+        step,
     } = scratch;
     let mut x = solve(a, k)?;
     residuals_into(a, k, &x, res)?;
@@ -406,15 +468,32 @@ pub fn solve_irls_with(
         for _ in 0..config.max_iterations {
             iterations += 1;
             let x_new = solve_weighted_into(a, k, weights, scaled, rhs)?;
-            let delta = x_new
-                .as_slice()
-                .iter()
-                .zip(x.as_slice())
-                .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
+            step.clear();
+            step.extend(
+                x_new
+                    .as_slice()
+                    .iter()
+                    .zip(x.as_slice())
+                    .map(|(p, q)| p - q),
+            );
+            let max_abs_step = step.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
+            // Δxᵀ(AᵀWA)Δx as Σ wᵢ(aᵢ·Δx)², under the weights of this solve
+            // (they are replaced below).
+            let step_sq: f64 = (0..a.rows())
+                .map(|r| {
+                    let dot: f64 = a.row(r).iter().zip(step.iter()).map(|(p, q)| p * q).sum();
+                    weights[r] * dot * dot
+                })
+                .sum();
             x = x_new;
             residuals_into(a, k, &x, res)?;
-            config.weight_fn.weights_into(res, weights);
-            if delta < config.tolerance {
+            let (sum, sumsq) = res
+                .iter()
+                .fold((0.0_f64, 0.0_f64), |(s, q), &r| (s + r, q + r * r));
+            config
+                .weight_fn
+                .weights_into_with_stats(res, sum, sumsq, weights);
+            if config.step_converged(step_sq, max_abs_step, res.len(), sum, sumsq) {
                 converged = true;
                 break;
             }

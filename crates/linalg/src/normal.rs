@@ -628,6 +628,27 @@ impl NormalEq {
         Ok(&self.solution)
     }
 
+    /// The step from `prev` to the last solution `x`, as
+    /// `((x − prev)ᵀ·AᵀWA·(x − prev), ‖x − prev‖∞)`. The quadratic form
+    /// reads the lower triangle of the Gram matrix the solve used, so it
+    /// costs `O(cols²)`.
+    fn step_from(&self, prev: &[f64]) -> (f64, f64) {
+        let n = self.cols;
+        let mut diag = 0.0;
+        let mut off = 0.0;
+        let mut max_abs = 0.0_f64;
+        for r in 0..n {
+            let dr = self.solution[r] - prev[r];
+            max_abs = max_abs.max(dr.abs());
+            let row = &self.gram[r * n..r * n + r];
+            for (c, g) in row.iter().enumerate() {
+                off += g * dr * (self.solution[c] - prev[c]);
+            }
+            diag += self.gram[r * n + r] * dr * dr;
+        }
+        (diag + 2.0 * off, max_abs)
+    }
+
     /// Per-row residuals `rᵢ = aᵢ·x − kᵢ` into `out` (allocation-free
     /// once `out` has capacity).
     pub fn residuals_into(&self, x: &[f64], out: &mut Vec<f64>) {
@@ -719,15 +740,6 @@ impl NormalIrlsScratch {
     pub fn residuals(&self) -> &[f64] {
         &self.residuals
     }
-
-    /// Realigns the stored warm-start weights with a system that dropped
-    /// `dropped_front` rows from the front and now has `rows` rows:
-    /// surviving rows keep their weights, new tail rows start at 1.0.
-    /// Call before [`solve_irls_normal_warm`] when the row set shifted.
-    pub fn align_weights(&mut self, dropped_front: usize, rows: usize) {
-        self.weights.drain(..dropped_front.min(self.weights.len()));
-        self.weights.resize(rows, 1.0);
-    }
 }
 
 /// Summary of a [`solve_irls_normal`] run; the solution itself stays in
@@ -749,9 +761,10 @@ pub struct NormalIrlsOutcome {
 ///
 /// Mirrors [`crate::lstsq::solve_irls_with`] step for step — initial
 /// uniform-weight solve, then residuals → weights → weighted solve until
-/// `‖Δx‖∞ < tolerance` — but reweights are rank-1 Gram updates instead of
-/// per-iteration re-factorizations of the scaled `m × n` system, and the
-/// whole loop is allocation-free in steady state.
+/// the step falls below `config.step_sigmas` standard errors (the
+/// stopping rule documented on [`IrlsConfig`]) — but reweights are rank-1
+/// Gram updates instead of per-iteration re-factorizations of the scaled
+/// `m × n` system, and the whole loop is allocation-free in steady state.
 ///
 /// # Errors
 ///
@@ -762,51 +775,6 @@ pub fn solve_irls_normal(
     scratch: &mut NormalIrlsScratch,
 ) -> Result<NormalIrlsOutcome, LinalgError> {
     ne.reset_weights_uniform();
-    solve_irls_from_current(ne, config, scratch)
-}
-
-/// [`solve_irls_normal`] warm-started from the weights left in `scratch`
-/// by the previous run, instead of restarting from uniform.
-///
-/// When consecutive systems differ by only a few rows — the streaming
-/// delta-tick case — the previous weights are already near the fixed
-/// point and the iteration converges in one or two reweights instead of
-/// replaying the whole cold-start trajectory. Both starts stop at the
-/// same `‖Δx‖∞ < tolerance` criterion, so the solutions agree to within
-/// the configured tolerance; call [`NormalIrlsScratch::align_weights`]
-/// first if rows were dropped or appended since the weights were
-/// recorded. Falls back to the cold start when the stored weights do not
-/// match the system's row count.
-///
-/// # Errors
-///
-/// Propagates [`NormalEq::solve`]/[`NormalEq::set_weights`] errors.
-pub fn solve_irls_normal_warm(
-    ne: &mut NormalEq,
-    config: &IrlsConfig,
-    scratch: &mut NormalIrlsScratch,
-) -> Result<NormalIrlsOutcome, LinalgError> {
-    let warm = scratch.weights.len() == ne.rows()
-        && !matches!(config.weight_fn, WeightFunction::Uniform)
-        && scratch
-            .weights
-            .iter()
-            .all(|w| w.is_finite() && (0.0..=1.0).contains(w));
-    if warm {
-        ne.set_weights_trusted(&mut scratch.weights);
-    } else {
-        ne.reset_weights_uniform();
-    }
-    solve_irls_from_current(ne, config, scratch)
-}
-
-/// The shared IRLS loop: solve with whatever weights `ne` currently
-/// carries, then reweight from residuals until the step converges.
-fn solve_irls_from_current(
-    ne: &mut NormalEq,
-    config: &IrlsConfig,
-    scratch: &mut NormalIrlsScratch,
-) -> Result<NormalIrlsOutcome, LinalgError> {
     let x0 = ne.solve()?;
     scratch.x.clear();
     scratch.x.extend_from_slice(x0);
@@ -824,13 +792,12 @@ fn solve_irls_from_current(
             // here. The swap leaves last iteration's weights in the
             // scratch buffer; they are overwritten below.
             ne.set_weights_trusted(&mut scratch.weights);
-            let x_new = ne.solve()?;
-            let delta = x_new
-                .iter()
-                .zip(scratch.x.iter())
-                .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
+            ne.solve()?;
+            // Measured against the Gram matrix this solve used, before
+            // the weights change again.
+            let (step_sq, max_abs_step) = ne.step_from(&scratch.x);
             scratch.x.clear();
-            scratch.x.extend_from_slice(x_new);
+            scratch.x.extend_from_slice(ne.solution());
             (sum, sumsq) = ne.residuals_stats_into(&scratch.x, &mut scratch.residuals);
             config.weight_fn.weights_into_with_stats(
                 &scratch.residuals,
@@ -838,7 +805,7 @@ fn solve_irls_from_current(
                 sumsq,
                 &mut scratch.weights,
             );
-            if delta < config.tolerance {
+            if config.step_converged(step_sq, max_abs_step, scratch.residuals.len(), sum, sumsq) {
                 converged = true;
                 break;
             }
@@ -1049,6 +1016,36 @@ mod tests {
     }
 
     #[test]
+    fn noise_free_system_stops_through_the_floor() {
+        // Every residual of this system is exactly zero, so s² = 0 and the
+        // σ-scaled test `Δxᵀ(AᵀWA)Δx < c²·s²` (here 0 < 0) cannot pass:
+        // only the absolute step floor can end the loop.
+        let rows: Vec<([f64; 2], f64)> = (0..8)
+            .map(|i| {
+                if i % 2 == 0 {
+                    ([1.0, 0.0], 3.0)
+                } else {
+                    ([0.0, 1.0], -2.0)
+                }
+            })
+            .collect();
+        let config = IrlsConfig::default();
+        let mut ne = build(&rows);
+        let mut scratch = NormalIrlsScratch::new();
+        let outcome = solve_irls_normal(&mut ne, &config, &mut scratch).unwrap();
+        assert!(scratch.residuals().iter().all(|r| *r == 0.0));
+        assert!(outcome.converged);
+        assert_eq!(outcome.iterations, 1);
+        assert_eq!(ne.solution(), &[3.0, -2.0]);
+        let refs: Vec<&[f64]> = rows.iter().map(|(a, _)| a.as_slice()).collect();
+        let a = Matrix::from_rows(&refs).unwrap();
+        let k = Vector::from_slice(&rows.iter().map(|(_, k)| *k).collect::<Vec<_>>());
+        let report = lstsq::solve_irls(&a, &k, &config).unwrap();
+        assert!(report.converged);
+        assert_eq!(report.iterations, 1);
+    }
+
+    #[test]
     fn irls_uniform_converges_immediately() {
         let rows = line_rows();
         let mut ne = build(&rows);
@@ -1188,51 +1185,6 @@ mod tests {
         for (p, q) in ne.solution().iter().zip(&qr) {
             assert!((p - q).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn warm_start_matches_cold_start_with_fewer_iterations() {
-        let rows = line_rows();
-        let cfg = IrlsConfig::default();
-        // Cold reference run on the full system.
-        let mut cold_ne = build(&rows);
-        let mut cold = NormalIrlsScratch::new();
-        solve_irls_normal(&mut cold_ne, &cfg, &mut cold).unwrap();
-        let cold_sol = cold_ne.solution().to_vec();
-        // Warm run: converge once, slide the system by one row, realign
-        // the weights, and re-solve from them.
-        let mut ne = build(&rows);
-        let mut scratch = NormalIrlsScratch::new();
-        solve_irls_normal(&mut ne, &cfg, &mut scratch).unwrap();
-        ne.remove_rows_front(1);
-        ne.push_row(&[8.0, 1.0], 17.0);
-        scratch.align_weights(1, ne.rows());
-        let warm = solve_irls_normal_warm(&mut ne, &cfg, &mut scratch).unwrap();
-        assert!(warm.converged);
-        // Oracle: cold start on the slid system.
-        let slid: Vec<([f64; 2], f64)> = rows[1..]
-            .iter()
-            .copied()
-            .chain([([8.0, 1.0], 17.0)])
-            .collect();
-        let mut oracle_ne = build(&slid);
-        let mut oracle = NormalIrlsScratch::new();
-        let cold_out = solve_irls_normal(&mut oracle_ne, &cfg, &mut oracle).unwrap();
-        for (p, q) in ne.solution().iter().zip(oracle_ne.solution()) {
-            assert!((p - q).abs() < 1e-6, "warm vs cold: {p} vs {q}");
-        }
-        assert!(
-            warm.iterations <= cold_out.iterations,
-            "warm {} > cold {}",
-            warm.iterations,
-            cold_out.iterations
-        );
-        // Mismatched weight length falls back to the cold start exactly.
-        let mut fb_ne = build(&rows);
-        let mut fb = NormalIrlsScratch::new();
-        fb.weights = vec![0.5; 3]; // wrong length
-        solve_irls_normal_warm(&mut fb_ne, &cfg, &mut fb).unwrap();
-        assert_eq!(fb_ne.solution(), cold_sol.as_slice());
     }
 
     #[test]

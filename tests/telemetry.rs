@@ -3,10 +3,12 @@
 //! latency distributions, and registry snapshots survive both export
 //! formats.
 
+use std::collections::BTreeSet;
 use std::f64::consts::{PI, TAU};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lion::obs::export::{parse_json_line, to_json_line, to_prometheus};
+use lion::obs::{SpanClose, Subscriber};
 use lion::prelude::*;
 
 fn clean_trace(antenna: Point3) -> Vec<(Point3, f64)> {
@@ -29,12 +31,26 @@ fn batch_jobs(n: usize) -> Vec<Job> {
         .collect()
 }
 
+/// Keeps every closed span, so spans can be filtered by trace id.
+#[derive(Default)]
+struct SpanLog(Mutex<Vec<SpanClose>>);
+
+impl Subscriber for SpanLog {
+    fn on_event(&self, _event: &lion::obs::Event<'_>) {}
+
+    fn on_span_close(&self, span: &SpanClose) {
+        self.0.lock().expect("span log poisoned").push(span.clone());
+    }
+}
+
 /// The one test that installs the process-global subscriber (kept as a
 /// single function so parallel tests in this binary can't race on it).
+/// Sibling tests still run engine jobs while it is installed, so only
+/// spans in this batch's own traces are counted.
 #[test]
 fn spans_reach_a_global_subscriber_from_worker_threads() {
-    let collector = Arc::new(lion::obs::CollectingSubscriber::new());
-    lion::obs::set_global_subscriber(collector.clone());
+    let log = Arc::new(SpanLog::default());
+    lion::obs::set_global_subscriber(log.clone());
     let mut jobs = batch_jobs(12);
     jobs.push(Job::locate_2d(Vec::new(), LocalizerConfig::paper()));
     let outcome = Engine::builder()
@@ -46,13 +62,21 @@ fn spans_reach_a_global_subscriber_from_worker_threads() {
 
     // Engine workers are spawned threads — spans still reach the global
     // subscriber, one engine.job span per job.
-    let spans = collector.span_histograms();
+    let ours: BTreeSet<u64> = outcome
+        .trace_ids
+        .iter()
+        .map(|id| id.expect("a subscriber was installed at submission"))
+        .collect();
+    assert_eq!(ours.len(), jobs.len());
+    let spans = log.0.lock().expect("span log poisoned");
     let get = |name: &str| {
-        spans
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, h)| h.clone())
-            .unwrap_or_else(|| panic!("missing span {name}: {spans:?}"))
+        let mut hist = Histogram::new();
+        for span in spans.iter() {
+            if span.name == name && ours.contains(&span.trace_id) {
+                hist.record(span.elapsed_ns);
+            }
+        }
+        hist
     };
     assert_eq!(get("engine.job").count(), 13);
     // The failing job errors before reaching the solver, so the solve
