@@ -1,11 +1,11 @@
-//! Tracked benchmark for the shared-prefix adaptive sweep.
+//! Tracked benchmark for the adaptive sweep and the solves around it.
 //!
 //! Measures median wall times on the fig16-style workload (indoor
 //! scenario, ±0.75 m track, paper defaults) for:
 //!
 //! - a single full-trace 2D solve,
-//! - the 6×6 adaptive sweep through the shared-prefix engine,
-//! - the same sweep through the preserved naive per-cell pipeline,
+//! - the 6×6 adaptive sweep (every cell the batch solve on its
+//!   range-restricted profile),
 //! - one IRLS reweight iteration on the incremental normal equations,
 //! - one streaming re-solve (sliding window push + windowed locate).
 //!
@@ -16,14 +16,7 @@
 //! - `bench_adaptive --check PATH` — run, refuse (exit 0) if the
 //!   committed baseline came from a different machine or toolchain,
 //!   otherwise verify that fresh medians are within 3× of the
-//!   committed ones and that the fresh shared-vs-naive speedup has not
-//!   collapsed relative to the committed one (exit code 1 otherwise).
-//!
-//! The shared-prefix sweep used to carry an absolute ≥5× floor over
-//! the naive per-cell pipeline; the SoA/SIMD rework of the solve core
-//! sped the naive path up so much that the gap is gone (both sweeps
-//! now run the same SIMD normal-equation kernels), so the check is
-//! relative to the committed speedup rather than an absolute floor.
+//!   committed ones (exit code 1 otherwise).
 //!
 //! Run with `--release`; debug-build numbers are meaningless.
 
@@ -42,11 +35,13 @@ use lion_bench::rig;
 /// median may be before `--check` fails. Machine-to-machine variance is
 /// large; 3× catches order-of-magnitude regressions without flaking.
 const CHECK_RATIO: f64 = 3.0;
-/// Noise allowance on the fresh-run speedup during `--check`: the
-/// fresh shared-vs-naive ratio must reach this fraction of the
-/// committed one. The two sweep medians jitter independently on shared
-/// machines, so this is deliberately loose.
-const SPEEDUP_MARGIN: f64 = 0.6;
+/// The tracked medians, in document order.
+const BENCHES: [&str; 4] = [
+    "single_solve_ns",
+    "sweep_ns",
+    "irls_iteration_ns",
+    "streaming_resolve_ns",
+];
 
 fn median_ns(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
@@ -84,42 +79,24 @@ fn workload(seed: u64) -> (Vec<(Point3, f64)>, LocalizerConfig) {
     )
 }
 
-struct BenchResults {
-    single_solve_ns: u64,
-    sweep_shared_ns: u64,
-    sweep_naive_ns: u64,
-    irls_iteration_ns: u64,
-    streaming_resolve_ns: u64,
-}
+/// Fresh medians, in [`BENCHES`] order.
+struct BenchResults([u64; 4]);
 
 impl BenchResults {
-    fn speedup(&self) -> f64 {
-        self.sweep_naive_ns as f64 / self.sweep_shared_ns.max(1) as f64
-    }
-
-    fn named(&self) -> [(&'static str, u64); 5] {
-        [
-            ("single_solve_ns", self.single_solve_ns),
-            ("sweep_shared_ns", self.sweep_shared_ns),
-            ("sweep_naive_ns", self.sweep_naive_ns),
-            ("irls_iteration_ns", self.irls_iteration_ns),
-            ("streaming_resolve_ns", self.streaming_resolve_ns),
-        ]
+    fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        BENCHES.into_iter().zip(self.0)
     }
 
     fn to_json(&self) -> String {
         let benches = self
             .named()
-            .iter()
             .map(|(name, median)| format!("\"{name}\":{{\"median\":{median}}}"))
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema\":\"lion-bench-5\",\"env\":{},\
-             \"benches\":{{{}}},\"speedup_shared_vs_naive\":{:.2}}}",
+            "{{\"schema\":\"lion-bench-5\",\"env\":{},\"benches\":{{{}}}}}",
             lion_bench::benv::BenchEnv::current().to_json(),
             benches,
-            self.speedup(),
         )
     }
 }
@@ -136,16 +113,9 @@ fn run_benches() -> BenchResults {
 
     let mut ws = Workspace::new();
     let mut out = AdaptiveOutcome::default();
-    let sweep_shared_ns = bench(21, || {
+    let sweep_ns = bench(21, || {
         localizer
             .locate_adaptive_into(&m, &grid, &mut ws, &mut out)
-            .expect("solvable sweep");
-    });
-
-    let mut ws = Workspace::new();
-    let sweep_naive_ns = bench(11, || {
-        localizer
-            .locate_adaptive_naive_in(&m, &grid, &mut ws)
             .expect("solvable sweep");
     });
 
@@ -213,16 +183,15 @@ fn run_benches() -> BenchResults {
         locate_window_in(&config, SolveSpace::TwoD, &window, &mut ws).expect("solvable window");
     });
 
-    BenchResults {
+    BenchResults([
         single_solve_ns,
-        sweep_shared_ns,
-        sweep_naive_ns,
+        sweep_ns,
         irls_iteration_ns,
         streaming_resolve_ns,
-    }
+    ])
 }
 
-fn load_baseline(path: &str) -> Result<(Vec<(String, u64)>, f64), String> {
+fn load_baseline(path: &str) -> Result<Vec<(&'static str, u64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = lion_obs::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
@@ -231,34 +200,24 @@ fn load_baseline(path: &str) -> Result<(Vec<(String, u64)>, f64), String> {
     }
     let benches = doc.get("benches").ok_or("missing benches")?;
     let mut medians = Vec::new();
-    for name in [
-        "single_solve_ns",
-        "sweep_shared_ns",
-        "sweep_naive_ns",
-        "irls_iteration_ns",
-        "streaming_resolve_ns",
-    ] {
+    for name in BENCHES {
         let median = benches
             .get(name)
             .and_then(|b| b.get("median"))
             .and_then(|v| v.as_u64())
             .ok_or_else(|| format!("missing bench {name}"))?;
-        medians.push((name.to_string(), median));
+        medians.push((name, median));
     }
-    let speedup = doc
-        .get("speedup_shared_vs_naive")
-        .and_then(|v| v.as_f64())
-        .ok_or("missing speedup_shared_vs_naive")?;
-    Ok((medians, speedup))
+    Ok(medians)
 }
 
 fn check(results: &BenchResults, path: &str) -> Result<(), String> {
-    let (baseline, committed_speedup) = load_baseline(path)?;
+    let baseline = load_baseline(path)?;
     let mut failures = Vec::new();
     for (name, fresh) in results.named() {
         let committed = baseline
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, v)| *v)
             .unwrap_or(0);
         let ratio = fresh as f64 / committed.max(1) as f64;
@@ -271,17 +230,6 @@ fn check(results: &BenchResults, path: &str) -> Result<(), String> {
             "ok"
         };
         eprintln!("check {name}: fresh {fresh} ns, committed {committed} ns [{status}]");
-    }
-    let fresh_speedup = results.speedup();
-    let fresh_floor = committed_speedup * SPEEDUP_MARGIN;
-    eprintln!(
-        "check speedup: fresh {fresh_speedup:.2}x, committed {committed_speedup:.2}x \
-         (floor {fresh_floor:.2}x = committed x {SPEEDUP_MARGIN})"
-    );
-    if fresh_speedup < fresh_floor {
-        failures.push(format!(
-            "fresh speedup {fresh_speedup:.2}x is below the {fresh_floor:.2}x noise floor"
-        ));
     }
     if failures.is_empty() {
         Ok(())

@@ -135,12 +135,7 @@ impl LocalizerConfig {
                 found: "0".to_string(),
             });
         }
-        if !(self.rank_tolerance > 0.0 && self.rank_tolerance < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                parameter: "rank_tolerance",
-                found: format!("{}", self.rank_tolerance),
-            });
-        }
+        check_rank_tolerance(self.rank_tolerance)?;
         let interval = self.pair_strategy.interval();
         if !(interval > 0.0 && interval.is_finite()) {
             return Err(CoreError::InvalidConfig {
@@ -366,44 +361,8 @@ impl Localizer2d {
         result
     }
 
-    /// Locates from the reads held by a [`crate::SlidingWindow`];
-    /// superseded by the space-parametric free function
-    /// [`locate_window_in`], which both solve spaces and the incremental
-    /// re-solve path share.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate`].
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the free `lion_core::locate_window_in(config, SolveSpace::TwoD, window, ws)` \
-                (the seam-aware streaming entry point)"
-    )]
-    pub fn locate_window_in(
-        &self,
-        window: &crate::SlidingWindow,
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        locate_window_in(&self.config, crate::SolveSpace::TwoD, window, ws)
-    }
-
-    /// Locates from an already prepared (unwrapped/smoothed) profile.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `locate_profile_in` with a reusable `Workspace` (the \
-                consolidated solve entry point)"
-    )]
-    pub fn locate_profile(&self, profile: &PhaseProfile) -> Result<Estimate, CoreError> {
-        self.locate_profile_in(profile, &mut Workspace::new())
-    }
-
     /// Locates from an already prepared (unwrapped/smoothed) profile with
-    /// a reusable [`Workspace`] — the entry point the adaptive parameter
-    /// sweep uses to avoid re-unwrapping, and the dispatch point where
+    /// a reusable [`Workspace`]; the dispatch point where
     /// [`LocalizerConfig::solver`] selects the backend.
     ///
     /// # Errors
@@ -459,40 +418,6 @@ impl Localizer3d {
         result
     }
 
-    /// Locates from the reads held by a [`crate::SlidingWindow`];
-    /// superseded by the space-parametric free function
-    /// [`locate_window_in`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the free `lion_core::locate_window_in(config, SolveSpace::ThreeD, window, ws)` \
-                (the seam-aware streaming entry point)"
-    )]
-    pub fn locate_window_in(
-        &self,
-        window: &crate::SlidingWindow,
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        locate_window_in(&self.config, crate::SolveSpace::ThreeD, window, ws)
-    }
-
-    /// Locates from an already prepared profile.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `locate_profile_in` with a reusable `Workspace` (the \
-                consolidated solve entry point)"
-    )]
-    pub fn locate_profile(&self, profile: &PhaseProfile) -> Result<Estimate, CoreError> {
-        self.locate_profile_in(profile, &mut Workspace::new())
-    }
-
     /// Locates from an already prepared profile with a reusable
     /// [`Workspace`]; the dispatch point where
     /// [`LocalizerConfig::solver`] selects the backend.
@@ -510,9 +435,8 @@ impl Localizer3d {
 }
 
 /// Locates from the reads held by a [`crate::SlidingWindow`] — the
-/// consolidated streaming entry point, replacing the near-duplicate
-/// `Localizer2d::locate_window_in` / `Localizer3d::locate_window_in`
-/// methods with one seam-aware function parametric over the solve space.
+/// streaming entry point, one seam-aware function parametric over the
+/// solve space.
 ///
 /// The window's `(position, wrapped phase)` measurements are staged into
 /// `ws`'s reusable buffer and replayed through the standard unwrap →
@@ -541,29 +465,11 @@ pub fn locate_window_in(
     result
 }
 
-/// Builds and preprocesses the phase profile for a localizer config,
-/// recording unwrap/smooth timings into the workspace.
-pub(crate) fn prepare_in(
-    measurements: &[(Point3, f64)],
-    config: &LocalizerConfig,
-    ws: &mut Workspace,
-) -> Result<PhaseProfile, CoreError> {
-    let span = lion_obs::span!("lion.unwrap");
-    let t = Instant::now();
-    let mut profile = PhaseProfile::from_wrapped(measurements, config.wavelength)?;
-    ws.metrics.unwrap_ns += elapsed_ns(t);
-    drop(span);
-    let _span = lion_obs::span!("lion.smooth");
-    let t = Instant::now();
-    profile.smooth(config.smoothing_window);
-    ws.metrics.smooth_ns += elapsed_ns(t);
-    Ok(profile)
-}
-
-/// [`prepare_in`] into a caller-owned profile: rebuilds `profile` from
-/// the wrapped measurements and smooths it using the workspace's scratch
-/// buffers, so the steady-state prepare stage performs no heap
-/// allocations. Timings land in the same `unwrap_ns`/`smooth_ns` buckets.
+/// Builds and preprocesses the phase profile for a localizer config into
+/// a caller-owned profile: rebuilds `profile` from the wrapped
+/// measurements and smooths it using the workspace's scratch buffers, so
+/// the steady-state prepare stage performs no heap allocations. Timings
+/// land in the workspace's `unwrap_ns`/`smooth_ns` buckets.
 pub(crate) fn prepare_profile_in(
     measurements: &[(Point3, f64)],
     config: &LocalizerConfig,
@@ -619,6 +525,17 @@ pub(crate) fn prepare_profile_lanes_in(
     ws.sweep.smooth_tmp = tmp;
     ws.metrics.smooth_ns += elapsed_ns(t);
     Ok(())
+}
+
+/// Rejects a relative singular-value threshold outside `(0, 1)`.
+pub(crate) fn check_rank_tolerance(rank_tolerance: f64) -> Result<(), CoreError> {
+    if rank_tolerance > 0.0 && rank_tolerance < 1.0 {
+        return Ok(());
+    }
+    Err(CoreError::InvalidConfig {
+        parameter: "rank_tolerance",
+        found: format!("{rank_tolerance}"),
+    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -774,12 +691,7 @@ pub(crate) fn run_with_min_in(
         }
         None => n / 2,
     };
-    if !(config.rank_tolerance > 0.0 && config.rank_tolerance < 1.0) {
-        return Err(CoreError::InvalidConfig {
-            parameter: "rank_tolerance",
-            found: format!("{}", config.rank_tolerance),
-        });
-    }
+    check_rank_tolerance(config.rank_tolerance)?;
     let positions = profile.positions();
     let frame = analyze_geometry_small(positions, mode, config.rank_tolerance)?;
     let lower_dimension = frame.spanned < frame.dims;
@@ -966,11 +878,11 @@ pub(crate) fn assemble_position(
 
 /// Per-parameter standard errors from a solved normal-equation system
 /// and its IRLS scratch — the normal-equation analog of the QR pipeline's
-/// [`parameter_std`], shared by the batch weighted path, the adaptive
-/// sweep's cells, and the incremental delta ticks. Writes the 1σ errors
-/// (coordinates then `d_r`) into `param_std`, leaving it empty when the
-/// covariance is unavailable (no spare degrees of freedom, degenerate
-/// weights, or a singular Gram matrix).
+/// [`parameter_std`], shared by the batch weighted path (which every
+/// adaptive sweep cell runs) and the incremental delta ticks. Writes the
+/// 1σ errors (coordinates then `d_r`) into `param_std`, leaving it empty
+/// when the covariance is unavailable (no spare degrees of freedom,
+/// degenerate weights, or a singular Gram matrix).
 pub(crate) fn normal_param_std(
     ne: &mut NormalEq,
     irls: &NormalIrlsScratch,

@@ -417,14 +417,33 @@ impl PhaseProfile {
     /// Keeps samples whose x-coordinate lies in `[min_x, max_x]` — the
     /// paper's "scanning range" restriction, applied after unwrapping.
     pub fn restrict_x(&self, min_x: f64, max_x: f64) -> PhaseProfile {
-        let keep: Vec<usize> = (0..self.len())
-            .filter(|&i| self.positions[i].x >= min_x && self.positions[i].x <= max_x)
-            .collect();
-        PhaseProfile::from_parts(
-            keep.iter().map(|&i| self.positions[i]).collect(),
-            keep.iter().map(|&i| self.phases[i]).collect(),
-            self.wavelength,
-        )
+        let mut out = PhaseProfile::default();
+        self.restrict_x_into(min_x, max_x, &mut out);
+        out
+    }
+
+    /// [`PhaseProfile::restrict_x`] into a caller-owned profile, reusing
+    /// its buffers: the adaptive sweep restricts every cell this way
+    /// without touching the allocator. Kept samples are copied a
+    /// contiguous run at a time (a scan along x keeps one run).
+    pub fn restrict_x_into(&self, min_x: f64, max_x: f64, out: &mut PhaseProfile) {
+        out.clear_samples();
+        out.wavelength = self.wavelength;
+        let inside = |x: f64| x >= min_x && x <= max_x;
+        let mut i = 0;
+        while let Some(skip) = self.xs[i..].iter().position(|&x| inside(x)) {
+            let start = i + skip;
+            let len = self.xs[start..]
+                .iter()
+                .position(|&x| !inside(x))
+                .unwrap_or(self.len() - start);
+            i = start + len;
+            out.positions.extend_from_slice(&self.positions[start..i]);
+            out.xs.extend_from_slice(&self.xs[start..i]);
+            out.ys.extend_from_slice(&self.ys[start..i]);
+            out.zs.extend_from_slice(&self.zs[start..i]);
+            out.phases.extend_from_slice(&self.phases[start..i]);
+        }
     }
 
     /// Keeps every `step`-th sample (step 0 behaves like 1).
@@ -603,6 +622,21 @@ mod tests {
         let r = p.restrict_x(-0.2, 0.2);
         assert_eq!(r.len(), 5);
         assert!(r.positions().iter().all(|q| q.x.abs() <= 0.2 + 1e-12));
+        // The in-place form refills a used profile to the same samples,
+        // also when the kept samples form several runs (x out of order).
+        let mut reused = p.clone();
+        p.restrict_x_into(-0.2, 0.2, &mut reused);
+        assert_eq!(reused, r);
+        assert_eq!(reused.xs(), r.xs());
+        let shuffled: Vec<Point3> = (0..11)
+            .map(|i| Point3::new(((i * 7) % 11) as f64 / 10.0 - 0.5, 0.0, 0.0))
+            .collect();
+        let q = PhaseProfile::from_unwrapped(shuffled, p.phases().to_vec(), 0.3256).unwrap();
+        q.restrict_x_into(-0.2, 0.2, &mut reused);
+        let expected = q.filter_positions(|s| (-0.2..=0.2).contains(&s.x));
+        assert_eq!(reused, expected);
+        assert_eq!(reused.xs(), expected.xs());
+        assert_eq!(reused.zs(), expected.zs());
         let d = p.decimate(2);
         assert_eq!(d.len(), 6);
         assert_eq!(d.positions()[1].x, p.positions()[2].x);

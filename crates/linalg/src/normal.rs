@@ -1,13 +1,10 @@
 //! Incremental normal-equation solver for families of related
 //! least-squares problems.
 //!
-//! The adaptive sweep (paper Sec. IV-C1) solves a 6×6 grid of weighted
-//! least-squares problems that share most of their rows: every grid cell
-//! draws its equations from the same sample pool, IRLS only changes the
-//! weights between iterations, and a wider scanning range's system is a
-//! superset of a narrower one's. [`NormalEq`] exploits all three by
-//! maintaining the normal equations `AᵀWA · x = AᵀWk` (paper Eq. 16)
-//! incrementally:
+//! IRLS (paper Eq. 16) re-solves one system with changed weights on
+//! every iteration, and a sliding window of reads re-solves a system whose
+//! oldest rows retire while new ones arrive. [`NormalEq`] exploits both by
+//! maintaining the normal equations `AᵀWA · x = AᵀWk` incrementally:
 //!
 //! - **Row accumulation** — `push_row` folds `wᵢ·aᵢaᵢᵀ` / `wᵢ·aᵢkᵢ` into
 //!   the Gram matrix as rows arrive, so building costs `O(m·n²)` with no
@@ -16,8 +13,8 @@
 //!   shifts the Gram matrix by `Δwᵢ·aᵢaᵢᵀ`, an `O(n²)` update per changed
 //!   row instead of an `O(m·n²)` rebuild. A full rebuild every
 //!   `rebuild_every`-th reweight bounds floating-point drift.
-//! - **Row insert/remove** — a wider scanning range extends a narrower
-//!   one's system in place instead of starting over.
+//! - **Row removal/replacement** — a sliding window retires and edits
+//!   rows with rank-1 downdates instead of starting over.
 //!
 //! Solves go through the same Cholesky kernel as [`crate::Cholesky`]
 //! (literally the same function), so the two routes cannot drift.
@@ -26,9 +23,7 @@
 //! push order, and [`NormalEq::rebuild`] re-accumulates in storage order
 //! with identical arithmetic. A system built by pushing rows 0..m with
 //! unit weights and a system rebuilt from the same stored rows therefore
-//! produce *bit-identical* Gram matrices, factors, and solutions — this
-//! is what lets the sequential (row-reusing) and parallel (fresh-build)
-//! adaptive sweeps return identical results.
+//! produce *bit-identical* Gram matrices, factors, and solutions.
 //!
 //! Accuracy: solving via the normal equations squares the condition
 //! number relative to the QR route ([`crate::lstsq::solve_weighted`]),
@@ -158,8 +153,8 @@ pub struct NormalEq {
     unit: Vec<f64>,
     /// Weight-delta scratch for bulk reweights.
     wdelta: Vec<f64>,
-    /// When set, `gram`/`atk` do not reflect `rows` (rows were inserted
-    /// or the caller asked for a deferred rebuild).
+    /// When set, `gram`/`atk` do not reflect `rows` (a bulk load, or the
+    /// drift budget is spent), and the next solve rebuilds.
     dirty: bool,
     rebuild_every: usize,
     /// Rank-1 Gram edits (reweights, row removals/replacements) since the
@@ -286,8 +281,9 @@ impl NormalEq {
         &self.solution
     }
 
-    /// Cumulative count of full Gram rebuilds (survives `begin`), the
-    /// counter behind the `lion.adaptive.gram_rebuilds` metric.
+    /// Cumulative count of full Gram rebuilds (survives `begin`): the
+    /// observable that shows whether an edit was folded in rank-1 or
+    /// forced a rebuild.
     pub fn gram_rebuilds(&self) -> u64 {
         self.gram_rebuilds
     }
@@ -306,30 +302,6 @@ impl NormalEq {
         if !self.dirty {
             accumulate(&mut self.gram, &mut self.atk, self.cols, a, k, 1.0);
         }
-    }
-
-    /// Inserts a row (unit weight) at position `at`, marking the Gram
-    /// matrix dirty; the next solve (or [`NormalEq::rebuild`]) brings it
-    /// back in sync. Used by the sweep to extend a narrower range's
-    /// system with a wider range's extra rows while keeping rows in the
-    /// canonical order that makes rebuilds bit-identical to fresh builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a.len()` differs from the column count or `at` is
-    /// past the end.
-    pub fn insert_row(&mut self, at: usize, a: &[f64], k: f64) {
-        assert_eq!(a.len(), self.cols, "row length must equal column count");
-        assert!(at <= self.rhs.len(), "insert position out of bounds");
-        let old = self.rows.len();
-        self.rows.resize(old + self.cols, 0.0);
-        self.rows
-            .copy_within(at * self.cols..old, (at + 1) * self.cols);
-        self.rows[at * self.cols..(at + 1) * self.cols].copy_from_slice(a);
-        self.rhs.insert(at, k);
-        self.weights.insert(at, 1.0);
-        self.note_updates(1);
-        self.dirty = true;
     }
 
     /// Removes the row at `at`. When the Gram matrix is in sync it is
@@ -565,7 +537,8 @@ impl NormalEq {
     }
 
     /// Recomputes `AᵀWA` / `AᵀWk` from the stored rows in storage order,
-    /// clearing any drift from rank-1 updates and syncing after inserts.
+    /// clearing any drift from rank-1 updates and syncing after a bulk
+    /// load.
     pub fn rebuild(&mut self) {
         self.gram.iter_mut().for_each(|g| *g = 0.0);
         self.atk.iter_mut().for_each(|g| *g = 0.0);
@@ -606,8 +579,8 @@ impl NormalEq {
         }
     }
 
-    /// Solves the current system, rebuilding first if rows were inserted
-    /// since the last sync. The returned slice aliases
+    /// Solves the current system, rebuilding first if the Gram matrix is
+    /// out of sync with the rows. The returned slice aliases
     /// [`NormalEq::solution`].
     ///
     /// # Errors
@@ -926,56 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_extends_to_wider_system() {
-        let rows = line_rows();
-        // Narrow system: middle rows 2..6; wide system: all rows.
-        let mut ne = NormalEq::new();
-        ne.begin(2);
-        for (a, k) in &rows[2..6] {
-            ne.push_row(a, *k);
-        }
-        let narrow = ne.solve().unwrap().to_vec();
-        let narrow_qr = qr_weighted(&rows[2..6], &[1.0; 4]);
-        for (p, q) in narrow.iter().zip(&narrow_qr) {
-            assert!((p - q).abs() < 1e-9);
-        }
-        // Extend to the full row set, keeping storage order canonical.
-        ne.insert_row(0, &rows[0].0, rows[0].1);
-        ne.insert_row(1, &rows[1].0, rows[1].1);
-        ne.insert_row(6, &rows[6].0, rows[6].1);
-        ne.insert_row(7, &rows[7].0, rows[7].1);
-        let wide = ne.solve().unwrap().to_vec();
-        let wide_qr = qr_weighted(&rows, &[1.0; 8]);
-        for (p, q) in wide.iter().zip(&wide_qr) {
-            assert!((p - q).abs() < 1e-9, "{wide:?} vs {wide_qr:?}");
-        }
-        assert_eq!(ne.rows(), 8);
-        for (i, (a, _)) in rows.iter().enumerate() {
-            assert_eq!(ne.row(i), a.as_slice());
-        }
-    }
-
-    #[test]
-    fn insert_then_rebuild_is_bit_identical_to_fresh_build() {
-        let rows = line_rows();
-        let mut extended = NormalEq::new();
-        extended.begin(2);
-        for (a, k) in &rows[2..6] {
-            extended.push_row(a, *k);
-        }
-        extended.solve().unwrap();
-        extended.insert_row(0, &rows[0].0, rows[0].1);
-        extended.insert_row(1, &rows[1].0, rows[1].1);
-        extended.insert_row(6, &rows[6].0, rows[6].1);
-        extended.insert_row(7, &rows[7].0, rows[7].1);
-        let a = extended.solve().unwrap().to_vec();
-        let mut fresh = build(&rows);
-        let b = fresh.solve().unwrap().to_vec();
-        // Exactly equal, not approximately: the determinism contract.
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn remove_row_matches_subset() {
         let rows = line_rows();
         let mut ne = build(&rows);
@@ -1163,10 +1086,10 @@ mod tests {
     }
 
     #[test]
-    fn inserts_and_removes_share_one_drift_budget() {
-        // Mixed sequences: inserts force a rebuild via `dirty` anyway,
-        // but they must also tick the shared budget so interleaved
-        // removals cannot stretch the cadence.
+    fn replacements_and_removes_share_one_drift_budget() {
+        // Mixed sequences: every kind of row edit ticks the shared budget,
+        // so interleaving replacements with removals cannot stretch the
+        // cadence.
         let rows = line_rows();
         let mut ne = NormalEq::with_rebuild_every(2);
         ne.begin(2);
@@ -1175,13 +1098,16 @@ mod tests {
         }
         ne.solve().unwrap();
         let before = ne.gram_rebuilds();
-        ne.insert_row(6, &rows[6].0, rows[6].1);
+        ne.replace_row(5, &rows[6].0, rows[6].1);
         ne.remove_row(0);
         ne.solve().unwrap();
-        // The budget of 2 was spent (insert + remove): exactly one
+        // The budget of 2 was spent (replace + remove): exactly one
         // rebuild, folded into the solve.
         assert_eq!(ne.gram_rebuilds(), before + 1);
-        let qr = qr_weighted(&rows[1..7], &[1.0; 6]);
+        let mut kept: Vec<([f64; 2], f64)> = rows[1..5].to_vec();
+        kept.push(rows[6]);
+        let weights = vec![1.0; kept.len()];
+        let qr = qr_weighted(&kept, &weights);
         for (p, q) in ne.solution().iter().zip(&qr) {
             assert!((p - q).abs() < 1e-9);
         }
