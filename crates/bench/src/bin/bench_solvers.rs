@@ -1,4 +1,5 @@
-//! Tracked benchmark for the solver backends behind the [`Solver`] seam.
+//! Tracked benchmark for the solver backends behind the
+//! [`Solver`](lion_core::Solver) seam.
 //!
 //! Measures median wall times on the fig16-style workload (indoor
 //! scenario, ±0.75 m track, paper defaults) for:

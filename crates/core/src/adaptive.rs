@@ -15,8 +15,8 @@
 //!
 //! The sweep unwraps and smooths the profile once. Every
 //! `(range, interval)` cell then runs exactly the solve
-//! [`Localizer2d::locate_in`] runs — [`crate::solver::dispatch_profile`],
-//! so the linear model or the likelihood grid as
+//! [`Localizer::locate_in`] runs — the backend dispatch, so the linear
+//! model or the likelihood grid as
 //! [`LocalizerConfig::solver`] selects — on the samples whose x lies in
 //! `[cx − range/2, cx + range/2]`, where `cx` is the x centroid of the
 //! whole trajectory. The cell's interval replaces the pair strategy's
@@ -35,7 +35,7 @@
 //!
 //! The restricted profile and every solve buffer live in the
 //! [`Workspace`], so a steady-state
-//! [`Localizer2d::locate_adaptive_into`] performs **zero heap
+//! [`Localizer::locate_adaptive_into`] performs **zero heap
 //! allocations**.
 //!
 //! The sweep is also available as an owned [`SweepPlan`] whose cells can
@@ -52,8 +52,8 @@ use lion_geom::Point3;
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, check_rank_tolerance, prepare_profile_in, Estimate, Localizer2d,
-    Localizer3d, LocalizerConfig,
+    analyze_geometry_small, check_rank_tolerance, with_measurements_profile, Estimate, Localizer,
+    LocalizerConfig,
 };
 use crate::preprocess::PhaseProfile;
 use crate::solver::{dispatch_profile, SolveSpace};
@@ -212,9 +212,8 @@ pub struct AdaptiveOutcome {
     pub skipped: usize,
 }
 
-impl Localizer2d {
-    /// Runs the adaptive parameter sweep for 2D localization (see the
-    /// module docs).
+impl<const D: usize> Localizer<D> {
+    /// Runs the adaptive parameter sweep (see the module docs).
     ///
     /// # Errors
     ///
@@ -232,12 +231,12 @@ impl Localizer2d {
         self.locate_adaptive_in(measurements, adaptive, &mut Workspace::new())
     }
 
-    /// [`Localizer2d::locate_adaptive`] with a reusable [`Workspace`].
+    /// [`Localizer::locate_adaptive`] with a reusable [`Workspace`].
     /// Bit-identical results; sweep timings and counters land in `ws`.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`].
+    /// See [`Localizer::locate_adaptive`].
     pub fn locate_adaptive_in(
         &self,
         measurements: &[(Point3, f64)],
@@ -249,13 +248,13 @@ impl Localizer2d {
         Ok(out)
     }
 
-    /// [`Localizer2d::locate_adaptive_in`] into a caller-owned outcome:
+    /// [`Localizer::locate_adaptive_in`] into a caller-owned outcome:
     /// the trial list's capacity is reused across calls, making the
     /// steady-state sweep fully allocation-free.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`]. On error `out` holds no
+    /// See [`Localizer::locate_adaptive`]. On error `out` holds no
     /// meaningful data.
     pub fn locate_adaptive_into(
         &self,
@@ -264,14 +263,11 @@ impl Localizer2d {
         ws: &mut Workspace,
         out: &mut AdaptiveOutcome,
     ) -> Result<(), CoreError> {
-        sweep_into(
-            measurements,
-            self.config(),
-            SolveSpace::TwoD,
-            adaptive,
-            ws,
-            out,
-        )
+        adaptive.validate()?;
+        let base = self.config();
+        with_measurements_profile(measurements, base, ws, |profile, ws| {
+            sweep_profile(profile, base, Self::SPACE, adaptive, ws, out)
+        })
     }
 
     /// Builds an owned [`SweepPlan`] whose cells can be solved on any
@@ -280,110 +276,41 @@ impl Localizer2d {
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`].
+    /// See [`Localizer::locate_adaptive`].
     pub fn sweep_plan(
         &self,
         measurements: &[(Point3, f64)],
         adaptive: &AdaptiveConfig,
         ws: &mut Workspace,
     ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(measurements, self.config(), SolveSpace::TwoD, adaptive, ws)
+        adaptive.validate()?;
+        let base = self.config();
+        with_measurements_profile(measurements, base, ws, |profile, ws| {
+            let cx = check_trajectory(
+                profile,
+                base,
+                Self::SPACE,
+                &adaptive.scanning_ranges,
+                &mut ws.metrics,
+            )?;
+            Ok(SweepPlan {
+                profile: profile.clone(),
+                config: base.clone(),
+                space: Self::SPACE,
+                cx,
+                cells: adaptive
+                    .scanning_ranges
+                    .iter()
+                    .flat_map(|&range| adaptive.intervals.iter().map(move |&i| (range, i)))
+                    .collect(),
+                keep: adaptive.keep,
+            })
+        })
     }
 }
 
-impl Localizer3d {
-    /// Runs the adaptive parameter sweep for 3D localization (see the
-    /// module docs).
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        self.locate_adaptive_in(measurements, adaptive, &mut Workspace::new())
-    }
-
-    /// [`Localizer3d::locate_adaptive`] with a reusable [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_in(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let mut out = AdaptiveOutcome::default();
-        self.locate_adaptive_into(measurements, adaptive, ws, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Localizer3d::locate_adaptive_in`] into a caller-owned outcome;
-    /// see [`Localizer2d::locate_adaptive_into`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_into(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-        out: &mut AdaptiveOutcome,
-    ) -> Result<(), CoreError> {
-        sweep_into(
-            measurements,
-            self.config(),
-            SolveSpace::ThreeD,
-            adaptive,
-            ws,
-            out,
-        )
-    }
-
-    /// Builds an owned [`SweepPlan`]; see [`Localizer2d::sweep_plan`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn sweep_plan(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(
-            measurements,
-            self.config(),
-            SolveSpace::ThreeD,
-            adaptive,
-            ws,
-        )
-    }
-}
-
-/// The sequential sweep: preprocesses once into the workspace-owned
-/// profile, then solves every cell in plan order.
-fn sweep_into(
-    measurements: &[(Point3, f64)],
-    base: &LocalizerConfig,
-    space: SolveSpace,
-    adaptive: &AdaptiveConfig,
-    ws: &mut Workspace,
-    out: &mut AdaptiveOutcome,
-) -> Result<(), CoreError> {
-    adaptive.validate()?;
-    let mut profile = std::mem::take(&mut ws.profile);
-    let result = prepare_profile_in(measurements, base, &mut profile, ws)
-        .and_then(|()| sweep_profile(&profile, base, space, adaptive, ws, out));
-    ws.profile = profile;
-    result
-}
-
+/// The sequential sweep over a prepared profile: solves every cell in
+/// plan order.
 fn sweep_profile(
     profile: &PhaseProfile,
     base: &LocalizerConfig,
@@ -451,7 +378,7 @@ fn check_trajectory(
 ) -> Result<f64, CoreError> {
     check_rank_tolerance(base.rank_tolerance)?;
     let positions = profile.positions();
-    analyze_geometry_small(positions, space.mode(), base.rank_tolerance)?;
+    analyze_geometry_small(positions, space, base.rank_tolerance)?;
     let n = positions.len();
     let cx = positions.iter().map(|p| p.x).sum::<f64>() / n as f64;
     for &range in ranges {
@@ -533,7 +460,7 @@ fn conclude(keep: usize, out: &mut AdaptiveOutcome) -> Result<(), CoreError> {
 /// Cells are independent — solve them on any worker with any
 /// [`Workspace`] via [`SweepPlan::solve_cell`], then reduce with
 /// [`SweepPlan::finish`]. The outcome is bit-identical to the sequential
-/// [`Localizer2d::locate_adaptive`] for any worker count: both run the
+/// [`Localizer::locate_adaptive`] for any worker count: both run the
 /// same cell solve, and the ranking is a total order over cells.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
@@ -547,41 +474,6 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    fn build(
-        measurements: &[(Point3, f64)],
-        base: &LocalizerConfig,
-        space: SolveSpace,
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<SweepPlan, CoreError> {
-        adaptive.validate()?;
-        let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_in(measurements, base, &mut profile, ws)
-            .and_then(|()| {
-                check_trajectory(
-                    &profile,
-                    base,
-                    space,
-                    &adaptive.scanning_ranges,
-                    &mut ws.metrics,
-                )
-            })
-            .map(|cx| SweepPlan {
-                profile: profile.clone(),
-                config: base.clone(),
-                space,
-                cx,
-                cells: adaptive
-                    .scanning_ranges
-                    .iter()
-                    .flat_map(|&range| adaptive.intervals.iter().map(move |&i| (range, i)))
-                    .collect(),
-                keep: adaptive.keep,
-            });
-        ws.profile = profile;
-        result
-    }
-
     /// Number of grid cells in the plan.
     pub fn cell_count(&self) -> usize {
         self.cells.len()
@@ -657,6 +549,7 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::localizer::{Localizer2d, Localizer3d};
     use crate::pairs::PairStrategy;
     use std::f64::consts::{PI, TAU};
 

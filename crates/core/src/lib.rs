@@ -23,8 +23,8 @@
 //!    ([`preprocess::PhaseProfile`]),
 //! 2. [`pairs`] — choose sample pairs ([`pairs::PairStrategy`]),
 //! 3. [`model`] — stack the linear system,
-//! 4. [`Localizer2d`] / [`Localizer3d`] — solve with the paper's weighted
-//!    least squares, recovering a missing perpendicular coordinate from
+//! 4. [`Localizer`] ([`Localizer2d`] / [`Localizer3d`]) — solve with the
+//!    paper's weighted least squares, recovering a missing perpendicular coordinate from
 //!    `d_r` when the trajectory spans fewer dimensions than the space,
 //! 5. [`adaptive`] — sweep scanning range/interval and keep the estimates
 //!    whose mean residual is closest to zero,
@@ -84,8 +84,8 @@ pub use calibrate::{
 };
 pub use error::CoreError;
 pub use localizer::{
-    locate_window_in, Estimate, Localizer2d, Localizer3d, LocalizerConfig, LocalizerConfigBuilder,
-    Weighting,
+    locate_window_in, Estimate, Localizer, Localizer2d, Localizer3d, LocalizerConfig,
+    LocalizerConfigBuilder, Weighting,
 };
 pub use multistatic::{MultistaticConfig, MultistaticEstimate};
 pub use pairs::PairStrategy;

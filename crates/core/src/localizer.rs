@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::pairs::PairStrategy;
 use crate::preprocess::PhaseProfile;
+use crate::solver::SolveSpace;
 use crate::workspace::{elapsed_ns, Workspace};
 
 /// Which estimator solves the stacked linear system.
@@ -40,7 +41,7 @@ impl Default for Weighting {
     }
 }
 
-/// Configuration shared by [`Localizer2d`] and [`Localizer3d`].
+/// Configuration of a [`Localizer`] (either space).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalizerConfig {
     /// Carrier wavelength in meters (default: the paper's 920.625 MHz →
@@ -278,9 +279,16 @@ impl Default for Estimate {
     }
 }
 
-/// 2D localization: the target and the tag trajectory lie in (or are
-/// projected onto) the horizontal plane; sample `z` coordinates are
-/// ignored except to report the plane height.
+/// The LION localizer over a `D`-dimensional target space: `D = 2`
+/// stacks radical lines, `D = 3` radical planes (the [`SPACE`] constant).
+/// Use it through its two aliases, [`Localizer2d`] and [`Localizer3d`].
+///
+/// In 2D the target and the tag trajectory lie in (or are projected
+/// onto) the horizontal plane; sample `z` coordinates are ignored except
+/// to report the plane height. In 3D the trajectory must span two
+/// (planar, with `d_r` recovery) or three dimensions.
+///
+/// [`SPACE`]: Localizer::SPACE
 ///
 /// # Example
 ///
@@ -308,22 +316,40 @@ impl Default for Estimate {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Only the 2D and 3D spaces exist; any other `D` fails to build:
+///
+/// ```compile_fail
+/// use lion_core::{Localizer, LocalizerConfig};
+///
+/// let _ = Localizer::<4>::new(LocalizerConfig::default());
+/// ```
 #[derive(Debug, Clone, Default)]
-pub struct Localizer2d {
+pub struct Localizer<const D: usize> {
     config: LocalizerConfig,
 }
 
-/// 3D localization over a trajectory that spans two (planar, with `d_r`
-/// recovery) or three dimensions.
-#[derive(Debug, Clone, Default)]
-pub struct Localizer3d {
-    config: LocalizerConfig,
-}
+/// 2D localization: radical lines in the horizontal plane.
+pub type Localizer2d = Localizer<2>;
 
-impl Localizer2d {
-    /// Creates a 2D localizer.
+/// 3D localization: radical planes, over a trajectory that spans two
+/// (planar, with `d_r` recovery) or three dimensions.
+pub type Localizer3d = Localizer<3>;
+
+impl<const D: usize> Localizer<D> {
+    /// The target space this localizer solves in: `TwoD` for `D = 2`,
+    /// `ThreeD` for `D = 3`. Any other `D` is a compile-time error.
+    pub const SPACE: SolveSpace = match D {
+        2 => SolveSpace::TwoD,
+        3 => SolveSpace::ThreeD,
+        _ => panic!("a Localizer solves in 2 or 3 dimensions"),
+    };
+
+    /// Creates a localizer.
     pub fn new(config: LocalizerConfig) -> Self {
-        Localizer2d { config }
+        // Naming SPACE here makes an unsupported `D` fail at build time.
+        let _ = Self::SPACE;
+        Localizer { config }
     }
 
     /// The configuration in use.
@@ -336,29 +362,29 @@ impl Localizer2d {
     /// # Errors
     ///
     /// See [`CoreError`]; notably [`CoreError::DegenerateGeometry`] when
-    /// all samples coincide, and [`CoreError::RecoveryFailed`] when the
+    /// all samples coincide, or, in 3D, when they are collinear — the
+    /// paper proves a single straight trajectory cannot fix a 3D position
+    /// (Sec. III-C2) — and [`CoreError::RecoveryFailed`] when the
     /// lower-dimension discriminant is negative (heavy noise).
     pub fn locate(&self, measurements: &[(Point3, f64)]) -> Result<Estimate, CoreError> {
         self.locate_in(measurements, &mut Workspace::new())
     }
 
-    /// [`Localizer2d::locate`] with a reusable [`Workspace`]: solver
+    /// [`Localizer::locate`] with a reusable [`Workspace`]: solver
     /// buffers come from (and stage metrics are recorded into) `ws`.
     /// Bit-identical to `locate`.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate`].
+    /// See [`Localizer::locate`].
     pub fn locate_in(
         &self,
         measurements: &[(Point3, f64)],
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_in(measurements, &self.config, &mut profile, ws)
-            .and_then(|()| self.locate_profile_in(&profile, ws));
-        ws.profile = profile;
-        result
+        with_measurements_profile(measurements, &self.config, ws, |profile, ws| {
+            self.locate_profile_in(profile, ws)
+        })
     }
 
     /// Locates from an already prepared (unwrapped/smoothed) profile with
@@ -367,70 +393,13 @@ impl Localizer2d {
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate`].
+    /// See [`Localizer::locate`].
     pub fn locate_profile_in(
         &self,
         profile: &PhaseProfile,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        crate::solver::dispatch_profile(profile, &self.config, crate::SolveSpace::TwoD, ws)
-    }
-}
-
-impl Localizer3d {
-    /// Creates a 3D localizer.
-    pub fn new(config: LocalizerConfig) -> Self {
-        Localizer3d { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LocalizerConfig {
-        &self.config
-    }
-
-    /// Locates the target from `(position, wrapped phase)` measurements.
-    ///
-    /// # Errors
-    ///
-    /// See [`CoreError`]; notably [`CoreError::DegenerateGeometry`] when
-    /// the samples are collinear — the paper proves a single straight
-    /// trajectory cannot fix a 3D position (Sec. III-C2).
-    pub fn locate(&self, measurements: &[(Point3, f64)]) -> Result<Estimate, CoreError> {
-        self.locate_in(measurements, &mut Workspace::new())
-    }
-
-    /// [`Localizer3d::locate`] with a reusable [`Workspace`]: solver
-    /// buffers come from (and stage metrics are recorded into) `ws`.
-    /// Bit-identical to `locate`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    pub fn locate_in(
-        &self,
-        measurements: &[(Point3, f64)],
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_in(measurements, &self.config, &mut profile, ws)
-            .and_then(|()| self.locate_profile_in(&profile, ws));
-        ws.profile = profile;
-        result
-    }
-
-    /// Locates from an already prepared profile with a reusable
-    /// [`Workspace`]; the dispatch point where
-    /// [`LocalizerConfig::solver`] selects the backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    pub fn locate_profile_in(
-        &self,
-        profile: &PhaseProfile,
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        crate::solver::dispatch_profile(profile, &self.config, crate::SolveSpace::ThreeD, ws)
+        crate::solver::dispatch_profile(profile, &self.config, Self::SPACE, ws)
     }
 }
 
@@ -448,71 +417,80 @@ impl Localizer3d {
 ///
 /// # Errors
 ///
-/// See [`Localizer2d::locate`] / [`Localizer3d::locate`].
+/// See [`Localizer::locate`].
 pub fn locate_window_in(
     config: &LocalizerConfig,
-    space: crate::SolveSpace,
+    space: SolveSpace,
     window: &crate::SlidingWindow,
     ws: &mut Workspace,
 ) -> Result<Estimate, CoreError> {
     let mut staged = std::mem::take(&mut ws.samples);
     window.write_soa_into(&mut staged);
-    let mut profile = std::mem::take(&mut ws.profile);
-    let result = prepare_profile_lanes_in(&staged, config, &mut profile, ws)
-        .and_then(|()| crate::solver::dispatch_profile(&profile, config, space, ws));
-    ws.profile = profile;
+    let result = with_prepared_profile(
+        config,
+        ws,
+        |profile| {
+            profile.rebuild_from_lanes(
+                &staged.xs,
+                &staged.ys,
+                &staged.zs,
+                &staged.phases,
+                config.wavelength,
+            )
+        },
+        |profile, ws| crate::solver::dispatch_profile(profile, config, space, ws),
+    );
     ws.samples = staged;
     result
 }
 
-/// Builds and preprocesses the phase profile for a localizer config into
-/// a caller-owned profile: rebuilds `profile` from the wrapped
-/// measurements and smooths it using the workspace's scratch buffers, so
-/// the steady-state prepare stage performs no heap allocations. Timings
-/// land in the workspace's `unwrap_ns`/`smooth_ns` buckets.
-pub(crate) fn prepare_profile_in(
+/// Prepares the workspace-owned profile from `(position, wrapped phase)`
+/// measurements and runs `solve` on it — the tuple-input entry behind
+/// `locate_in`, [`crate::Solver::solve_in`], and the adaptive sweep.
+pub(crate) fn with_measurements_profile<T>(
     measurements: &[(Point3, f64)],
     config: &LocalizerConfig,
-    profile: &mut PhaseProfile,
     ws: &mut Workspace,
-) -> Result<(), CoreError> {
-    let span = lion_obs::span!("lion.unwrap");
-    let t = Instant::now();
-    let rebuilt = profile.rebuild_from_wrapped(measurements, config.wavelength);
-    ws.metrics.unwrap_ns += elapsed_ns(t);
-    drop(span);
-    rebuilt?;
-    let _span = lion_obs::span!("lion.smooth");
-    let t = Instant::now();
-    let mut prefix = std::mem::take(&mut ws.sweep.smooth_prefix);
-    let mut tmp = std::mem::take(&mut ws.sweep.smooth_tmp);
-    profile.smooth_with_scratch(config.smoothing_window, &mut prefix, &mut tmp);
-    ws.sweep.smooth_prefix = prefix;
-    ws.sweep.smooth_tmp = tmp;
-    ws.metrics.smooth_ns += elapsed_ns(t);
-    Ok(())
+    solve: impl FnOnce(&PhaseProfile, &mut Workspace) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    with_prepared_profile(
+        config,
+        ws,
+        |profile| profile.rebuild_from_wrapped(measurements, config.wavelength),
+        solve,
+    )
 }
 
-/// [`prepare_profile_in`] from SoA staging lanes: the streaming entry
-/// point's preprocessing, rebuilding the profile straight from the
-/// [`crate::SlidingWindow`]'s lane-wise snapshot. Same validation, unwrap
-/// kernel, and smoothing scratch as the tuple-staged route, so the two
-/// produce bit-identical profiles.
-pub(crate) fn prepare_profile_lanes_in(
-    samples: &crate::workspace::SampleSoa,
+/// Stages `ws.profile`, prepares it with [`prepare_profile`], and runs
+/// `solve` on it; the profile goes back into `ws` even on error.
+fn with_prepared_profile<T>(
+    config: &LocalizerConfig,
+    ws: &mut Workspace,
+    rebuild: impl FnOnce(&mut PhaseProfile) -> Result<(), CoreError>,
+    solve: impl FnOnce(&PhaseProfile, &mut Workspace) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let mut profile = std::mem::take(&mut ws.profile);
+    let result =
+        prepare_profile(config, &mut profile, ws, rebuild).and_then(|()| solve(&profile, ws));
+    ws.profile = profile;
+    result
+}
+
+/// Rebuilds a caller-owned profile with `rebuild` (tuple measurements or
+/// the [`crate::SlidingWindow`]'s SoA lanes; both run the same validation
+/// and unwrap kernel) and smooths it using the workspace's scratch
+/// buffers, so the steady-state prepare stage performs no heap
+/// allocations. Timings land in the workspace's `unwrap_ns`/`smooth_ns`
+/// buckets.
+fn prepare_profile(
     config: &LocalizerConfig,
     profile: &mut PhaseProfile,
     ws: &mut Workspace,
+    rebuild: impl FnOnce(&mut PhaseProfile) -> Result<(), CoreError>,
 ) -> Result<(), CoreError> {
     let span = lion_obs::span!("lion.unwrap");
     let t = Instant::now();
-    let rebuilt = profile.rebuild_from_lanes(
-        &samples.xs,
-        &samples.ys,
-        &samples.zs,
-        &samples.phases,
-        config.wavelength,
-    );
+    let rebuilt = rebuild(profile);
     ws.metrics.unwrap_ns += elapsed_ns(t);
     drop(span);
     rebuilt?;
@@ -538,12 +516,6 @@ pub(crate) fn check_rank_tolerance(rank_tolerance: f64) -> Result<(), CoreError>
     })
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    TwoD,
-    ThreeD,
-}
-
 /// Stack-only principal-component frame shared by every solve path: a
 /// 3×3 symmetric eigendecomposition of `Σ d·dᵀ` instead of an SVD of the
 /// centered `n × k` matrix, so computing it allocates nothing. The square
@@ -553,7 +525,7 @@ pub(crate) enum Mode {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameSmall {
     pub(crate) centroid: Point3,
-    /// Orthonormal axes, strongest spread first. For 2D mode only the xy
+    /// Orthonormal axes, strongest spread first. In 2D only the xy
     /// components are nonzero and the last axis is `±e_z`.
     pub(crate) axes: [Vec3; 3],
     /// How many directions the trajectory spans at the given tolerance.
@@ -564,7 +536,7 @@ pub(crate) struct FrameSmall {
 
 pub(crate) fn analyze_geometry_small(
     positions: &[Point3],
-    mode: Mode,
+    space: SolveSpace,
     rank_tolerance: f64,
 ) -> Result<FrameSmall, CoreError> {
     let n = positions.len();
@@ -572,19 +544,19 @@ pub(crate) fn analyze_geometry_small(
     let centroid = positions.iter().fold(Point3::ORIGIN, |acc, p| {
         Point3::new(acc.x + p.x * inv, acc.y + p.y * inv, acc.z + p.z * inv)
     });
-    let dims = match mode {
-        Mode::TwoD => 2,
-        Mode::ThreeD => 3,
+    let dims = match space {
+        SolveSpace::TwoD => 2,
+        SolveSpace::ThreeD => 3,
     };
     // Unnormalized sample covariance Σ d·dᵀ; its eigenvalues are the
-    // squared singular values of the centered sample matrix. 2D mode
+    // squared singular values of the centered sample matrix. 2D
     // keeps the z row/column exactly zero, which `sym_eigen3` preserves.
     let mut cov = [[0.0_f64; 3]; 3];
     for p in positions {
         let d = *p - centroid;
-        let v = match mode {
-            Mode::TwoD => [d.x, d.y, 0.0],
-            Mode::ThreeD => [d.x, d.y, d.z],
+        let v = match space {
+            SolveSpace::TwoD => [d.x, d.y, 0.0],
+            SolveSpace::ThreeD => [d.x, d.y, d.z],
         };
         for r in 0..3 {
             for c in 0..3 {
@@ -614,7 +586,7 @@ pub(crate) fn analyze_geometry_small(
             detail: "tag positions span no direction".to_string(),
         });
     }
-    if mode == Mode::ThreeD && spanned == 1 {
+    if space == SolveSpace::ThreeD && spanned == 1 {
         return Err(CoreError::DegenerateGeometry {
             detail: "a single linear trajectory cannot determine a 3D position \
                      (paper Sec. III-C2); add a second line or a planar scan"
@@ -660,17 +632,17 @@ pub(crate) fn canonicalize(n: Vec3) -> Vec3 {
 pub(crate) fn run_with_min(
     profile: &PhaseProfile,
     config: &LocalizerConfig,
-    mode: Mode,
+    space: SolveSpace,
     min_needed: usize,
 ) -> Result<Estimate, CoreError> {
-    run_with_min_in(profile, config, mode, min_needed, &mut Workspace::new())
+    run_with_min_in(profile, config, space, min_needed, &mut Workspace::new())
 }
 
 /// [`run_with_min`] with caller-provided solver buffers and metrics.
 pub(crate) fn run_with_min_in(
     profile: &PhaseProfile,
     config: &LocalizerConfig,
-    mode: Mode,
+    space: SolveSpace,
     min_needed: usize,
     ws: &mut Workspace,
 ) -> Result<Estimate, CoreError> {
@@ -693,7 +665,7 @@ pub(crate) fn run_with_min_in(
     };
     check_rank_tolerance(config.rank_tolerance)?;
     let positions = profile.positions();
-    let frame = analyze_geometry_small(positions, mode, config.rank_tolerance)?;
+    let frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
     let lower_dimension = frame.spanned < frame.dims;
     let k = frame.spanned;
     profile.delta_distances_into(reference, &mut ws.deltas);
@@ -890,26 +862,11 @@ pub(crate) fn normal_param_std(
     cov_diag: &mut Vec<f64>,
 ) {
     param_std.clear();
-    let m = ne.rows();
-    let cols = ne.cols();
-    if m <= cols {
+    let Some(sigma2) =
+        weighted_residual_variance(irls.residuals(), irls.weights(), ne.rows(), ne.cols())
+    else {
         return;
-    }
-    let wsum: f64 = irls.weights().iter().sum();
-    // NaN-safe: `>` is false for NaN, so NaN weight sums bail out too.
-    let wsum_ok = wsum > 0.0;
-    if !wsum_ok {
-        return;
-    }
-    let dof = (m - cols) as f64;
-    let sigma2 = irls
-        .residuals()
-        .iter()
-        .zip(irls.weights())
-        .map(|(r, w)| w * r * r)
-        .sum::<f64>()
-        / dof.max(1.0)
-        / (wsum / m as f64).max(f64::MIN_POSITIVE);
+    };
     if ne.set_weights(irls.weights()).is_ok() && ne.covariance_diag_into(cov_diag).is_ok() {
         param_std.extend(cov_diag.iter().map(|d| (sigma2 * d).max(0.0).sqrt()));
     }
@@ -918,24 +875,9 @@ pub(crate) fn normal_param_std(
 /// Diagonal of `σ̂²·(AᵀWA)⁻¹` → per-parameter standard errors.
 fn parameter_std(design: &Matrix, residuals: &[f64], weights: &[f64]) -> Vec<f64> {
     let (m, n) = design.shape();
-    if m <= n {
+    let Some(sigma2) = weighted_residual_variance(residuals, weights, m, n) else {
         return Vec::new();
-    }
-    let wsum: f64 = weights.iter().sum();
-    // NaN-safe: `>` is false for NaN, so NaN weight sums bail out too.
-    let wsum_ok = wsum > 0.0;
-    if !wsum_ok {
-        return Vec::new();
-    }
-    // Weighted residual variance with n fitted parameters.
-    let dof = (m - n) as f64;
-    let sigma2 = residuals
-        .iter()
-        .zip(weights)
-        .map(|(r, w)| w * r * r)
-        .sum::<f64>()
-        / dof.max(1.0)
-        / (wsum / m as f64).max(f64::MIN_POSITIVE);
+    };
     let Ok(gram) = design.weighted_gram(weights) else {
         return Vec::new();
     };
@@ -945,6 +887,37 @@ fn parameter_std(design: &Matrix, residuals: &[f64], weights: &[f64]) -> Vec<f64
     (0..n)
         .map(|i| (sigma2 * inv[(i, i)]).max(0.0).sqrt())
         .collect()
+}
+
+/// Weighted residual variance of an `m × cols` fit,
+/// `Σwr² / max(m − cols, 1) / max(Σw/m, MIN_POSITIVE)` — the `σ̂²` of both
+/// covariance routes. `None` when no degree of freedom is spare or the
+/// weights do not sum to a positive value.
+fn weighted_residual_variance(
+    residuals: &[f64],
+    weights: &[f64],
+    m: usize,
+    cols: usize,
+) -> Option<f64> {
+    if m <= cols {
+        return None;
+    }
+    let wsum: f64 = weights.iter().sum();
+    // NaN-safe: `>` is false for NaN, so NaN weight sums bail out too.
+    let wsum_ok = wsum > 0.0;
+    if !wsum_ok {
+        return None;
+    }
+    let dof = (m - cols) as f64;
+    Some(
+        residuals
+            .iter()
+            .zip(weights)
+            .map(|(r, w)| w * r * r)
+            .sum::<f64>()
+            / dof.max(1.0)
+            / (wsum / m as f64).max(f64::MIN_POSITIVE),
+    )
 }
 
 #[cfg(test)]

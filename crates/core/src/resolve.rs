@@ -493,8 +493,7 @@ impl IncrementalState {
             };
             self.unwrapped.push(u);
         }
-        let Ok(frame) =
-            analyze_geometry_small(&self.positions, space.mode(), config.rank_tolerance)
+        let Ok(frame) = analyze_geometry_small(&self.positions, space, config.rank_tolerance)
         else {
             return Ok(est);
         };

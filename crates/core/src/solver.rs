@@ -49,8 +49,8 @@ use lion_linalg::{LevenbergMarquardt, Vector};
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, check_rank_tolerance, prepare_profile_in, run_with_min_in, Estimate,
-    LocalizerConfig, Mode,
+    analyze_geometry_small, check_rank_tolerance, run_with_min_in, with_measurements_profile,
+    Estimate, LocalizerConfig,
 };
 use crate::preprocess::PhaseProfile;
 use crate::workspace::{elapsed_ns, Workspace};
@@ -73,25 +73,21 @@ const RADIAL_MAX: f64 = 3.0;
 /// first pass with no strict improvement).
 const LEVEL_PASSES: usize = 8;
 
-/// The target space a solve runs in — the public mirror of the internal
-/// pipeline mode. 2D pins the estimate's `z` to the mean sample height;
-/// 3D searches (or solves) all three coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The target space a solve runs in, and the one key every solve path
+/// dispatches on: 2D stacks radical lines and pins the estimate's `z` to
+/// the mean sample height; 3D stacks radical planes and searches (or
+/// solves) all three coordinates. [`crate::Localizer::SPACE`] maps a
+/// localizer's dimension onto it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveSpace {
     /// Horizontal-plane localization (the [`crate::Localizer2d`] space).
+    #[default]
     TwoD,
     /// Full 3D localization (the [`crate::Localizer3d`] space).
     ThreeD,
 }
 
 impl SolveSpace {
-    pub(crate) fn mode(self) -> Mode {
-        match self {
-            SolveSpace::TwoD => Mode::TwoD,
-            SolveSpace::ThreeD => Mode::ThreeD,
-        }
-    }
-
     /// The minimum sample count either backend needs in this space.
     pub fn min_samples(self) -> usize {
         match self {
@@ -114,9 +110,9 @@ impl SolveSpace {
 /// `rank_tolerance`); backend-specific knobs live on the backend itself
 /// (e.g. [`GridConfig`]). The config's own [`LocalizerConfig::solver`]
 /// field is ignored here — backend selection happens in the
-/// `Localizer2d`/`Localizer3d` entry points, which is what keeps a
-/// `LinearSolver` usable as a cross-check against a grid-configured
-/// pipeline.
+/// [`crate::Localizer`] and [`crate::locate_window_in`] entry points,
+/// which is what keeps a `LinearSolver` usable as a cross-check against a
+/// grid-configured pipeline.
 pub trait Solver {
     /// A short stable backend name (`"linear"`, `"grid"`), used in logs
     /// and benchmark schemas.
@@ -153,11 +149,9 @@ pub trait Solver {
         space: SolveSpace,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_in(measurements, config, &mut profile, ws)
-            .and_then(|()| self.solve_profile_in(&profile, config, space, ws));
-        ws.profile = profile;
-        result
+        with_measurements_profile(measurements, config, ws, |profile, ws| {
+            self.solve_profile_in(profile, config, space, ws)
+        })
     }
 }
 
@@ -313,28 +307,10 @@ impl GridConfig {
 
 /// The paper's linear pipeline behind the [`Solver`] trait: radical-line
 /// system, (iteratively reweighted) least squares, lower-dimension
-/// `d_r` recovery. This is the exact code path `Localizer2d::locate` has
+/// `d_r` recovery. This is the exact code path `Localizer::locate` has
 /// always run — the trait impl is a thin adapter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearSolver;
-
-impl LinearSolver {
-    /// Solves a [`crate::SlidingWindow`] resuming from persistent
-    /// incremental state: O(delta) when the slide since the last call is
-    /// patchable, falling back to a bit-exact replay otherwise. This is
-    /// the streaming counterpart of [`crate::locate_window_in`]; see
-    /// [`crate::IncrementalState`] for the state machine and parity tiers.
-    pub fn resume_window_in(
-        &self,
-        state: &mut crate::IncrementalState,
-        window: &mut crate::SlidingWindow,
-        config: &LocalizerConfig,
-        space: SolveSpace,
-        ws: &mut Workspace,
-    ) -> Result<(Estimate, crate::ResolvePath), CoreError> {
-        state.solve_window(window, config, space, ws)
-    }
-}
 
 impl Solver for LinearSolver {
     fn name(&self) -> &'static str {
@@ -348,7 +324,7 @@ impl Solver for LinearSolver {
         space: SolveSpace,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        run_with_min_in(profile, config, space.mode(), space.min_samples(), ws)
+        run_with_min_in(profile, config, space, space.min_samples(), ws)
     }
 }
 
@@ -807,7 +783,7 @@ fn solve_grid_profile(
     // Same whole-trajectory degeneracy screen as the linear path — a
     // single straight line still cannot fix a 3D position (the grid
     // would land on an arbitrary point of the ambiguity ring).
-    let frame = analyze_geometry_small(positions, space.mode(), config.rank_tolerance)?;
+    let frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
     let _span = lion_obs::span!("lion.solve");
     let t = Instant::now();
     profile.delta_distances_into(reference, &mut ws.deltas);

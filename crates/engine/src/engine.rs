@@ -351,6 +351,90 @@ mod tests {
             .collect()
     }
 
+    /// A circle in the `z = 0` plane read by an antenna above it: the 3D
+    /// solve recovers the height from `d_r`.
+    fn planar_trace_3d(antenna: Point3) -> Vec<(Point3, f64)> {
+        let lambda = LocalizerConfig::paper().wavelength;
+        (0..400)
+            .map(|i| {
+                let a = i as f64 * TAU / 400.0;
+                let p = Point3::new(0.35 * a.cos(), 0.35 * a.sin(), 0.0);
+                (p, (4.0 * PI * antenna.distance(p) / lambda) % TAU)
+            })
+            .collect()
+    }
+
+    fn config_3d() -> LocalizerConfig {
+        LocalizerConfig {
+            smoothing_window: 1,
+            side_hint: Some(Point3::new(0.0, 0.0, 0.5)),
+            ..LocalizerConfig::paper()
+        }
+    }
+
+    fn antennas_3d() -> Vec<Point3> {
+        (0..4)
+            .map(|i| Point3::new(0.1 + 0.05 * i as f64, 0.2, 0.7))
+            .collect()
+    }
+
+    #[test]
+    fn locate_3d_jobs_match_the_localizer_bit_for_bit() {
+        let config = config_3d();
+        let traces: Vec<_> = antennas_3d().into_iter().map(planar_trace_3d).collect();
+        let jobs: Vec<Job> = traces
+            .iter()
+            .map(|m| Job::locate_3d(m.clone(), config.clone()))
+            .collect();
+        let outcome = Engine::builder()
+            .workers(2)
+            .build()
+            .expect("valid")
+            .run(&jobs);
+        let localizer = Localizer3d::new(config);
+        for ((m, antenna), result) in traces.iter().zip(antennas_3d()).zip(&outcome.results) {
+            let direct = localizer
+                .locate_in(m, &mut Workspace::new())
+                .expect("planar circle locates in 3D");
+            assert!(direct.distance_error(antenna) < 1e-5, "{direct:?}");
+            match result.as_ref().expect("job succeeds") {
+                JobOutput::Estimate(e) => assert_eq!(e, &direct),
+                other => panic!("Locate3d produced {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_3d_jobs_match_the_localizer_bit_for_bit() {
+        let config = config_3d();
+        let grid = AdaptiveConfig {
+            scanning_ranges: vec![0.5, 0.7],
+            intervals: vec![0.15, 0.25],
+            keep: 2,
+        };
+        let traces: Vec<_> = antennas_3d().into_iter().map(planar_trace_3d).collect();
+        let jobs: Vec<Job> = traces
+            .iter()
+            .map(|m| Job::adaptive_3d(m.clone(), config.clone(), grid.clone()))
+            .collect();
+        let outcome = Engine::builder()
+            .workers(2)
+            .build()
+            .expect("valid")
+            .run(&jobs);
+        let localizer = Localizer3d::new(config);
+        for ((m, antenna), result) in traces.iter().zip(antennas_3d()).zip(&outcome.results) {
+            let direct = localizer
+                .locate_adaptive_in(m, &grid, &mut Workspace::new())
+                .expect("planar circle sweeps in 3D");
+            assert!(direct.estimate.distance_error(antenna) < 1e-4, "{direct:?}");
+            match result.as_ref().expect("job succeeds") {
+                JobOutput::Adaptive(a) => assert_eq!(a, &direct),
+                other => panic!("Adaptive3d produced {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn empty_batch_produces_empty_outcome() {
         let outcome = Engine::serial().run(&[]);

@@ -1,6 +1,6 @@
 //! Streaming pipeline configuration.
 
-use lion_core::{CoreError, LocalizerConfig};
+use lion_core::{CoreError, LocalizerConfig, SolveSpace};
 
 /// When the pipeline re-solves.
 ///
@@ -105,26 +105,6 @@ impl ConvergenceConfig {
     }
 }
 
-/// Which solver dimensionality the stream drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Space {
-    /// Planar localization ([`lion_core::Localizer2d`]).
-    #[default]
-    TwoD,
-    /// Full 3D localization ([`lion_core::Localizer3d`]).
-    ThreeD,
-}
-
-impl Space {
-    /// The core solver dimensionality this stream space drives.
-    pub fn solve_space(self) -> lion_core::SolveSpace {
-        match self {
-            Space::TwoD => lion_core::SolveSpace::TwoD,
-            Space::ThreeD => lion_core::SolveSpace::ThreeD,
-        }
-    }
-}
-
 /// How cadence re-solves execute.
 ///
 /// Both modes emit estimates at exactly the same ticks; they differ only
@@ -172,7 +152,7 @@ pub struct StreamConfig {
     /// The batch solver configuration replayed on every window solve.
     pub localizer: LocalizerConfig,
     /// 2D or 3D solve.
-    pub space: Space,
+    pub space: SolveSpace,
     /// Replay vs incremental cadence re-solves.
     pub resolve_mode: ResolveMode,
     /// Optional stable identity for telemetry: the stream's series label
@@ -190,7 +170,7 @@ impl Default for StreamConfig {
             cadence: Cadence::default(),
             convergence: ConvergenceConfig::default(),
             localizer: LocalizerConfig::default(),
-            space: Space::default(),
+            space: SolveSpace::default(),
             resolve_mode: ResolveMode::default(),
             label: None,
         }
@@ -294,7 +274,7 @@ impl StreamConfigBuilder {
     }
 
     /// Selects 2D or 3D solving.
-    pub fn space(mut self, space: Space) -> Self {
+    pub fn space(mut self, space: SolveSpace) -> Self {
         self.config.space = space;
         self
     }

@@ -258,7 +258,7 @@ impl StreamLocalizer {
         config.solver = kind;
         locate_window_in(
             &config,
-            self.config.space.solve_space(),
+            self.config.space,
             &self.window,
             &mut self.workspace,
         )
@@ -271,7 +271,7 @@ impl StreamLocalizer {
     ) -> Result<StreamEstimate, CoreError> {
         let _span = lion_obs::span!("lion.stream.solve");
         let solve_timer = HistogramTimer::start(lion_obs::global(), SOLVE_HISTOGRAM);
-        let space = self.config.space.solve_space();
+        let space = self.config.space;
         let solved = match self.resolve.as_mut() {
             Some(state) => state.solve_window(
                 &mut self.window,

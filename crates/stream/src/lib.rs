@@ -89,9 +89,7 @@ mod estimator;
 mod ingress;
 mod read;
 
-pub use config::{
-    Cadence, ConvergenceConfig, ResolveMode, Space, StreamConfig, StreamConfigBuilder,
-};
+pub use config::{Cadence, ConvergenceConfig, ResolveMode, StreamConfig, StreamConfigBuilder};
 pub use convergence::ConvergenceTracker;
 pub use estimator::{StreamEstimate, StreamLocalizer, SOLVE_HISTOGRAM, STREAM_LAG_HISTOGRAM};
 pub use ingress::Ingress;

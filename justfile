@@ -1,6 +1,7 @@
 # Project task runner. `just verify` is the full pre-merge gate.
 
-# Build, test, lint, and check formatting — everything CI would run.
+# Build, test, lint, check doc links, and check formatting — everything
+# CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites are named explicitly so a
 # test-filter typo can't silently skip the bit-identicality gate. The
@@ -21,6 +22,7 @@ verify:
     cargo test -q --test fleet_health
     cargo test -q --test alerts_history
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     cargo fmt --check
 
 # Regenerate every paper figure.

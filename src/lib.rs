@@ -97,9 +97,9 @@ pub mod prelude {
     pub use lion_core::{
         locate_window_in, AdaptiveConfig, AdaptiveOutcome, Calibration, Calibrator,
         ConveyorTracker, CoreError, Estimate, GridConfig, GridSolver, IncrementalState,
-        LinearSolver, Localizer2d, Localizer3d, LocalizerConfig, PairStrategy, PhaseProfile,
-        PushOutcome, ResolvePath, SlidingWindow, SolveSpace, Solver, SolverKind, StageMetrics,
-        TrackerConfig, Weighting, WindowDelta, Workspace,
+        LinearSolver, Localizer, Localizer2d, Localizer3d, LocalizerConfig, PairStrategy,
+        PhaseProfile, PushOutcome, ResolvePath, SlidingWindow, SolveSpace, Solver, SolverKind,
+        StageMetrics, TrackerConfig, Weighting, WindowDelta, Workspace,
     };
     pub use lion_engine::{
         BatchOutcome, Engine, Job, JobKind, JobOutput, JobTiming, MetricsReport,

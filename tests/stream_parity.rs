@@ -12,8 +12,8 @@
 //! DESIGN.md §14), under in-order, shuffled, shed, and grid-solver
 //! arrival — with the replay/delta pattern identical on any worker count.
 
+use lion::core::SolveSpace as Space;
 use lion::prelude::*;
-use lion::stream::Space;
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
 
