@@ -1,7 +1,7 @@
-//! Benchmark environment fingerprinting shared by every tracked bench
-//! binary.
+//! Benchmark environment fingerprinting for the tracked bench binary
+//! (`bench_tracked`).
 //!
-//! Every `lion-bench-*` JSON document embeds an `env` block describing
+//! The `lion-bench` JSON document embeds an `env` block describing
 //! the machine that produced it: core count, OS, architecture, the
 //! exact `rustc --version` string, the probed CPU feature set, and the
 //! SIMD backend `lion_linalg::simd` selected at runtime. Medians are
@@ -19,7 +19,7 @@ use std::process::Command;
 
 use lion_obs::json::{escape, Json};
 
-/// The environment fingerprint embedded in every bench JSON document.
+/// The environment fingerprint embedded in the bench JSON document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchEnv {
     /// Available parallelism (informational; not part of the match).
@@ -136,11 +136,11 @@ impl BenchEnv {
     }
 }
 
-/// Guard used by every bench binary's `--check` arm: if the committed
+/// Guard used by `bench_tracked --check`: if the committed
 /// baseline at `path` was written in a different environment, print a
 /// refusal and exit 0 — a cross-machine comparison is meaningless, not
 /// failing. Unreadable or unparseable files return silently so the
-/// binary's own `load_baseline` can report the real error with context.
+/// binary's own loader can report the real error with context.
 pub fn refuse_if_cross_machine(path: &str) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,

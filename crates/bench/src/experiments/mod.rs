@@ -2,8 +2,7 @@
 //!
 //! Every experiment exposes `report(seed) -> ExperimentReport`, printing
 //! the same series the corresponding paper figure plots. Modules also
-//! expose finer-grained `run*` functions with trial counts for tests and
-//! Criterion benches.
+//! expose finer-grained `run*` functions with trial counts for tests.
 
 use std::fmt;
 

@@ -29,45 +29,29 @@ verify:
 figures:
     cargo run --release -p lion-bench --bin run_experiments -- all
 
-# Tracked benchmarks: run the adaptive-sweep, solver-backend,
-# streaming-resolve, and SIMD-kernel bench bins and diff against the
-# committed baselines (generous 3× regression threshold on every median;
-# the incremental-vs-replay speedup must stay near its committed value,
-# the solver-backend parity must stay inside the documented 2 cm radius,
-# and the kernel bench enforces the absolute 700 µs single-solve /
-# 14 672 ns incremental budgets).
-# Each check refuses — exit 0, not failure — when the committed
-# baseline's env block (machine, rustc, CPU features, SIMD backend)
-# doesn't match this machine; regenerate with `just bench-write` first.
+# Tracked same-machine regression benchmark: one `bench_tracked` run
+# diffed against the committed `BENCH.json` — every median within 3× of
+# its committed value, the absolute 700 µs single-solve / 14 672 ns
+# incremental-resolve / 5 ms render and sampler-tick budgets, the 2 cm
+# solver-backend parity radius (fresh and committed), and the
+# incremental-vs-replay speedup at ≥ 0.6× its committed value.
+# Refuses — exit 0, not failure — when the baseline's env block
+# (machine, rustc, CPU features, SIMD backend) doesn't match this
+# machine; regenerate with `just bench-write` first.
 bench:
-    cargo run --release -p lion-bench --bin bench_adaptive -- --check BENCH_5.json
-    cargo run --release -p lion-bench --bin bench_solvers -- --check BENCH_6.json
-    cargo run --release -p lion-bench --bin bench_stream_resolve -- --check BENCH_8.json
-    cargo run --release -p lion-bench --bin bench_kernels -- --check BENCH_10.json
+    cargo run --release -p lion-bench --bin bench_tracked -- --check BENCH.json
 
-# Regenerate the committed benchmark baselines. Run on a quiet machine
+# Regenerate the committed benchmark baseline. Run on a quiet machine
 # and eyeball the diff before committing.
 bench-write:
-    cargo run --release -p lion-bench --bin bench_adaptive -- --write BENCH_5.json
-    cargo run --release -p lion-bench --bin bench_solvers -- --write BENCH_6.json
-    cargo run --release -p lion-bench --bin bench_stream_resolve -- --write BENCH_8.json
-    cargo run --release -p lion-bench --bin bench_kernels -- --write BENCH_10.json
+    cargo run --release -p lion-bench --bin bench_tracked -- --write BENCH.json
 
-# SIMD kernel bench compiled for this exact CPU (`-C target-cpu=native`
+# The tracked benchmark compiled for this exact CPU (`-C target-cpu=native`
 # lets LLVM use every feature the host has, beyond the portable AVX2/NEON
-# dispatch). Numbers are NOT comparable to the committed baselines —
+# dispatch). Numbers are NOT comparable to the committed baseline —
 # print-only, no --check, never `--write` from here.
 bench-native:
-    RUSTFLAGS="-C target-cpu=native" cargo run --release -p lion-bench --bin bench_kernels
-
-# Run the Criterion microbenchmarks (solver, hologram, engine batch, ...).
-microbench:
-    cargo bench --workspace
-
-# Streaming pipeline benchmarks only: throughput across window sizes,
-# window-maintenance cost per read, and single windowed re-solve latency.
-stream-bench:
-    cargo bench -p lion-bench --bench stream
+    RUSTFLAGS="-C target-cpu=native" cargo run --release -p lion-bench --bin bench_tracked
 
 # Run the conveyor batch and export its telemetry (JSON-lines registry
 # snapshot + Prometheus text exposition) to target/telemetry/.
